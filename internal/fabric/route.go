@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rocesim/internal/link"
 	"rocesim/internal/packet"
@@ -24,61 +24,82 @@ type Route struct {
 	static []int
 }
 
-func (r Route) matches(a packet.Addr) bool {
-	if r.Bits == 0 {
-		return true
+// prefixMask returns the network mask of a prefix length (0 for /0).
+func prefixMask(bits int) uint32 {
+	if bits == 0 {
+		return 0
 	}
-	mask := uint32(0xffffffff) << uint(32-r.Bits)
+	return uint32(0xffffffff) << uint(32-bits)
+}
+
+func (r Route) matches(a packet.Addr) bool {
+	mask := prefixMask(r.Bits)
 	return a.Uint32()&mask == r.Prefix.Uint32()&mask
 }
 
+// routeKey identifies a route by its length and canonical prefix.
+func routeKey(bits int, prefix uint32) uint64 { return uint64(bits)<<32 | uint64(prefix) }
+
 // routeTable is a longest-prefix-match table with an exact-match index
-// for /24 entries: Clos tables hold one /24 per destination ToR, so the
-// hot path is a single map probe; shorter prefixes (podset /16s, the
-// default) fall back to a linear scan over a handful of entries.
+// on (length, prefix). The index doubles as the hot-path /24 probe: Clos
+// tables hold one /24 per destination ToR, so most lookups are a single
+// map probe; shorter prefixes (podset /16s, the default) fall back to a
+// linear scan over a handful of entries.
+//
+// Adds append in O(1); the table is ordered and its index rebuilt once,
+// on the first read after a batch of adds. One stable sort of the
+// insertion-ordered slice yields exactly the order that sorting after
+// every insert would, so forwarding and ECMP do not depend on batching.
 type routeTable struct {
-	routes  []Route        // kept sorted by Bits descending
-	by24    map[uint32]int // Prefix>>8 → index into routes, Bits==24 only
+	routes  []Route        // sorted by Bits descending once settled
+	index   map[uint64]int // routeKey → position in routes
 	maxBits int
+	dirty   bool // routes appended since the last settle
 }
 
-// add inserts a route, replacing any identical prefix.
+// add inserts a route, replacing any route with the same length and
+// prefix. Host bits beyond the length are cleared first, so 10.0.1.7/24
+// and 10.0.1.0/24 name one route.
 func (t *routeTable) add(r Route) {
 	if r.Bits < 0 || r.Bits > 32 {
 		panic(fmt.Sprintf("fabric: prefix length %d", r.Bits))
 	}
+	r.Prefix = packet.AddrFromUint32(r.Prefix.Uint32() & prefixMask(r.Bits))
 	r.static = append([]int(nil), r.Ports...)
-	for i := range t.routes {
-		if t.routes[i].Bits == r.Bits && t.routes[i].Prefix.Uint32() == r.Prefix.Uint32() {
-			t.routes[i] = r
-			return
-		}
+	k := routeKey(r.Bits, r.Prefix.Uint32())
+	if i, ok := t.index[k]; ok {
+		t.routes[i] = r
+		return
 	}
+	if t.index == nil {
+		t.index = make(map[uint64]int)
+	}
+	t.index[k] = len(t.routes)
 	t.routes = append(t.routes, r)
-	sort.SliceStable(t.routes, func(i, j int) bool { return t.routes[i].Bits > t.routes[j].Bits })
-	t.reindex()
+	t.maxBits = max(t.maxBits, r.Bits)
+	t.dirty = true
 }
 
-// reindex rebuilds the /24 exact-match index after the slice reorders.
-func (t *routeTable) reindex() {
-	t.by24 = make(map[uint32]int, len(t.routes))
-	t.maxBits = 0
-	for i := range t.routes {
-		if t.routes[i].Bits == 24 {
-			t.by24[t.routes[i].Prefix.Uint32()>>8] = i
-		}
-		if t.routes[i].Bits > t.maxBits {
-			t.maxBits = t.routes[i].Bits
-		}
+// settle orders the routes by length, longest first, and re-points the
+// index at their new positions. It is a no-op between batches of adds.
+func (t *routeTable) settle() {
+	if !t.dirty {
+		return
 	}
+	slices.SortStableFunc(t.routes, func(a, b Route) int { return b.Bits - a.Bits })
+	for i := range t.routes {
+		t.index[routeKey(t.routes[i].Bits, t.routes[i].Prefix.Uint32())] = i
+	}
+	t.dirty = false
 }
 
 // lookup returns the longest-prefix-match route for a, or nil.
 func (t *routeTable) lookup(a packet.Addr) *Route {
+	t.settle()
 	// A /24 hit is the longest possible match while no longer prefixes
 	// are configured (Clos tables never hold any).
 	if t.maxBits <= 24 {
-		if i, ok := t.by24[a.Uint32()>>8]; ok {
+		if i, ok := t.index[routeKey(24, a.Uint32()&prefixMask(24))]; ok {
 			return &t.routes[i]
 		}
 	}
@@ -95,6 +116,7 @@ func (t *routeTable) lookup(a packet.Addr) *Route {
 // true. The control plane calls this as the first step of reconvergence
 // after a carrier change.
 func (s *Switch) ResetRoutes(portUp func(port int) bool) {
+	s.routes.settle()
 	for i := range s.routes.routes {
 		r := &s.routes.routes[i]
 		if r.Local {
@@ -114,6 +136,7 @@ func (s *Switch) ResetRoutes(portUp func(port int) bool) {
 // the prefix). It reports whether anything changed, so a fixpoint
 // iteration knows when withdrawal has propagated fully.
 func (s *Switch) PruneRoutes(usable func(prefix packet.Addr, bits, port int) bool) bool {
+	s.routes.settle()
 	changed := false
 	for i := range s.routes.routes {
 		r := &s.routes.routes[i]

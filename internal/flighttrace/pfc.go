@@ -13,11 +13,11 @@ import (
 // Pri) paused from Start to End. Reason carries the closing event's
 // annotation ("watchdog-disabled", "open-at-finish", ...).
 type Interval struct {
-	Node  string
-	Port  int
-	Pri   int
-	Start simtime.Time
-	End   simtime.Time
+	Node   string
+	Port   int
+	Pri    int
+	Start  simtime.Time
+	End    simtime.Time
 	Reason string
 }
 

@@ -87,10 +87,10 @@ func (s *Span) Latency() simtime.Duration {
 // HopStat aggregates queueing delay attributed to one device for one
 // flow.
 type HopStat struct {
-	Node     string
-	Packets  int
-	Total    simtime.Duration
-	Max      simtime.Duration
+	Node    string
+	Packets int
+	Total   simtime.Duration
+	Max     simtime.Duration
 }
 
 // Mean returns the average per-packet delay at this hop.

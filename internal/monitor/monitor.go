@@ -254,7 +254,14 @@ func (pm *Pingmesh) Report() string {
 // Collector samples device counters from the kernel's telemetry
 // registry into fixed-interval time series — the "pause frames received
 // in every five minutes" plots of the incident figures. It reads only
-// published snapshots: it has no access to component internals.
+// published metrics: it has no access to component internals.
+//
+// Each tick reads the watched counters through registry Readers
+// resolved once, not a whole-registry Snapshot: at fleet scale the
+// snapshot (every gauge called, every histogram summarized, all sorted)
+// costs far more than the few counters sampled. The readers are
+// re-resolved when a device is watched or the registry grows, so
+// counters registered late are picked up on the next tick.
 type Collector struct {
 	k        *sim.Kernel
 	reg      *telemetry.Registry
@@ -266,8 +273,23 @@ type Collector struct {
 	// Series keyed by device name + metric.
 	Series map[string]*stats.Series
 
-	last     map[string]float64
+	// sampled lists the registered devices × sampledSuffixes keys in
+	// sampling order; tracks holds their state by key (a device watched
+	// twice samples one track twice). resolvedDevices and resolvedLen
+	// are len(devices) and the registry's Len when sampled was built.
+	sampled         []*track
+	tracks          map[string]*track
+	resolvedDevices int
+	resolvedLen     int
+
 	onSample []func(now simtime.Time)
+}
+
+// track is one sampled key: its reader, series and last reading.
+type track struct {
+	rd   telemetry.Reader
+	s    *stats.Series
+	last float64
 }
 
 // sampledSuffixes are the per-device registry counters the collector
@@ -282,7 +304,7 @@ func NewCollector(k *sim.Kernel, interval simtime.Duration) *Collector {
 	c := &Collector{
 		k: k, reg: k.Metrics(), interval: interval,
 		Series: make(map[string]*stats.Series),
-		last:   make(map[string]float64),
+		tracks: make(map[string]*track),
 	}
 	k.NewTicker(interval, c.sample)
 	return c
@@ -298,13 +320,27 @@ func (c *Collector) WatchSwitch(sw *fabric.Switch) { c.Watch(sw.Name()) }
 // WatchNIC registers a NIC for collection.
 func (c *Collector) WatchNIC(n *nic.NIC) { c.Watch(n.Name()) }
 
-func (c *Collector) series(name string) *stats.Series {
-	s, ok := c.Series[name]
-	if !ok {
-		s = &stats.Series{Name: name, Interval: c.interval.Seconds()}
-		c.Series[name] = s
+// resolve rebuilds the sampled list from the watched devices and the
+// registry's current keys.
+func (c *Collector) resolve() {
+	c.sampled = c.sampled[:0]
+	for _, dev := range c.devices {
+		for _, suffix := range sampledSuffixes {
+			key := dev + suffix
+			t := c.tracks[key]
+			if t == nil {
+				rd, ok := c.reg.Reader(key)
+				if !ok {
+					continue
+				}
+				t = &track{rd: rd, s: &stats.Series{Name: key, Interval: c.interval.Seconds()}}
+				c.tracks[key] = t
+				c.Series[key] = t.s
+			}
+			c.sampled = append(c.sampled, t)
+		}
 	}
-	return s
+	c.resolvedDevices, c.resolvedLen = len(c.devices), c.reg.Len()
 }
 
 // AfterSample registers fn to run after every sampling tick, once the
@@ -317,17 +353,13 @@ func (c *Collector) AfterSample(fn func(now simtime.Time)) {
 }
 
 func (c *Collector) sample() {
-	snap := c.reg.Snapshot()
-	for _, dev := range c.devices {
-		for _, suffix := range sampledSuffixes {
-			key := dev + suffix
-			e, ok := snap.Get(key)
-			if !ok {
-				continue
-			}
-			c.series(key).Record(e.Value - c.last[key])
-			c.last[key] = e.Value
-		}
+	if len(c.devices) != c.resolvedDevices || c.reg.Len() != c.resolvedLen {
+		c.resolve()
+	}
+	for _, t := range c.sampled {
+		v := t.rd.Value()
+		t.s.Record(v - t.last)
+		t.last = v
 	}
 	now := c.k.Now()
 	for _, fn := range c.onSample {

@@ -112,29 +112,47 @@ type sketch struct {
 }
 
 // Registry holds every metric of one simulation. Components register at
-// construction; consumers read via Snapshot. Registration order is
-// deterministic (simulations are single-threaded), and snapshots sort by
-// key, so a registry never introduces nondeterminism.
+// construction; consumers read via Snapshot, or through a Reader when
+// they poll a few keys often. Registration order is deterministic
+// (simulations are single-threaded), and snapshots sort by key, so a
+// registry never introduces nondeterminism.
 type Registry struct {
 	counters   []*Counter
 	gauges     []gauge
 	histograms []histogram
 	sketches   []sketch
-	keys       map[string]struct{}
+	keys       map[string]metricRef
 }
+
+// metricRef locates a registered metric: its kind and its position in
+// the registry's slice of that kind.
+type metricRef struct {
+	kind refKind
+	i    int32
+}
+
+type refKind uint8
+
+const (
+	refCounter refKind = iota
+	refGauge
+	refHistogram
+	refSketch
+)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{keys: make(map[string]struct{})}
+	return &Registry{keys: make(map[string]metricRef)}
 }
 
-// claim reserves a key, panicking on duplicates: two components
-// publishing under one name is always a wiring bug.
-func (r *Registry) claim(k string) {
+// claim reserves a key for the i-th metric of a kind, panicking on
+// duplicates: two components publishing under one name is always a
+// wiring bug.
+func (r *Registry) claim(k string, kind refKind, i int) {
 	if _, dup := r.keys[k]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate metric %q", k))
 	}
-	r.keys[k] = struct{}{}
+	r.keys[k] = metricRef{kind: kind, i: int32(i)}
 }
 
 // Counter registers and returns a counter. A nil registry returns a nil
@@ -144,7 +162,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		return nil
 	}
 	c := &Counter{k: key(name, labels)}
-	r.claim(c.k)
+	r.claim(c.k, refCounter, len(r.counters))
 	r.counters = append(r.counters, c)
 	return c
 }
@@ -157,7 +175,7 @@ func (r *Registry) Gauge(name string, fn func() float64, labels ...Label) {
 		return
 	}
 	k := key(name, labels)
-	r.claim(k)
+	r.claim(k, refGauge, len(r.gauges))
 	r.gauges = append(r.gauges, gauge{k: k, fn: fn})
 }
 
@@ -170,7 +188,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *stats.Histogram {
 		return h
 	}
 	k := key(name, labels)
-	r.claim(k)
+	r.claim(k, refHistogram, len(r.histograms))
 	r.histograms = append(r.histograms, histogram{k: k, h: h})
 	return h
 }
@@ -186,7 +204,7 @@ func (r *Registry) Sketch(name string, labels ...Label) *stats.Sketch {
 		return s
 	}
 	k := key(name, labels)
-	r.claim(k)
+	r.claim(k, refSketch, len(r.sketches))
 	r.sketches = append(r.sketches, sketch{k: k, s: s})
 	return s
 }
@@ -200,6 +218,54 @@ func (r *Registry) Has(name string, labels ...Label) bool {
 	}
 	_, ok := r.keys[key(name, labels)]
 	return ok
+}
+
+// Len returns the number of registered metrics. It only grows, so a
+// consumer holding Readers re-resolves when Len changes.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.keys)
+}
+
+// Reader reads one registered metric's current scalar value: the Value
+// its Snapshot entry would carry (a histogram's or sketch's sample
+// count), without snapshotting, sorting or summarizing the rest of the
+// registry. The zero Reader reads 0.
+type Reader struct {
+	r   *Registry
+	ref metricRef
+}
+
+// Reader returns a reader for the metric registered under the canonical
+// key k, and whether one is registered.
+func (r *Registry) Reader(k string) (Reader, bool) {
+	if r == nil {
+		return Reader{}, false
+	}
+	ref, ok := r.keys[k]
+	if !ok {
+		return Reader{}, false
+	}
+	return Reader{r: r, ref: ref}, true
+}
+
+// Value reads the metric's current value.
+func (rd Reader) Value() float64 {
+	if rd.r == nil {
+		return 0
+	}
+	switch rd.ref.kind {
+	case refCounter:
+		return float64(rd.r.counters[rd.ref.i].v)
+	case refGauge:
+		return rd.r.gauges[rd.ref.i].fn()
+	case refHistogram:
+		return float64(rd.r.histograms[rd.ref.i].h.Count())
+	default:
+		return float64(rd.r.sketches[rd.ref.i].s.Count())
+	}
 }
 
 // Kind classifies a snapshot entry.

@@ -65,6 +65,44 @@ func TestSketchKind(t *testing.T) {
 	}
 }
 
+func TestReaderMatchesSnapshot(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("tor-0/drops", L("port", 2))
+	g := 1.5
+	r.Gauge("tor-0/depth", func() float64 { return g })
+	h := r.Histogram("pingmesh/rtt_ps")
+	sk := r.Sketch("health/fct_ps")
+	if r.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", r.Len())
+	}
+	readers := map[string]Reader{}
+	for _, e := range r.Snapshot().Entries {
+		rd, ok := r.Reader(e.Key)
+		if !ok {
+			t.Fatalf("no reader for %q", e.Key)
+		}
+		readers[e.Key] = rd
+	}
+	// Readers resolved once follow later updates.
+	c.Add(3)
+	g = 9
+	h.Observe(10)
+	h.Observe(20)
+	sk.Observe(5)
+	for _, e := range r.Snapshot().Entries {
+		if got := readers[e.Key].Value(); got != e.Value {
+			t.Fatalf("%s: reader %g, snapshot %g", e.Key, got, e.Value)
+		}
+	}
+	if _, ok := r.Reader("tor-0/drops"); ok {
+		t.Fatal("reader must take the canonical labeled key")
+	}
+	var nr *Registry
+	if rd, ok := nr.Reader("x"); ok || rd.Value() != 0 || nr.Len() != 0 {
+		t.Fatal("nil registry must read as empty")
+	}
+}
+
 func TestLabelKeysCanonical(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tor-0/pause_tx", L("pri", 3), L("port", 1))

@@ -242,8 +242,8 @@ func isolation(cells []Cell) []IsolationRow {
 		row := IsolationRow{
 			Tenant: tn.name, Criterion: tn.criterion,
 			SoloP99: s.SlowP99, MixedP99: m.SlowP99,
-			Ratio:     round3(m.SlowP99 / s.SlowP99),
-			SoloGbps:  s.GoodputGbps, MixedGbps: m.GoodputGbps,
+			Ratio:    round3(m.SlowP99 / s.SlowP99),
+			SoloGbps: s.GoodputGbps, MixedGbps: m.GoodputGbps,
 			Retention: round3(m.GoodputGbps / s.GoodputGbps),
 		}
 		switch tn.criterion {

@@ -59,7 +59,7 @@ type Replication struct {
 func NewReplication(k *sim.Kernel, name string, cfg ReplicationConfig, writes []*transport.QP) *Replication {
 	return &Replication{
 		Writes: writes,
-		k: k, cfg: cfg, rng: k.Rand("replication/" + name),
+		k:      k, cfg: cfg, rng: k.Rand("replication/" + name),
 	}
 }
 
