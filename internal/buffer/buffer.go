@@ -7,7 +7,7 @@ package buffer
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // Config sizes and parameterizes an MMU.
@@ -104,12 +104,6 @@ func Headroom(mtu int, linkBytesPerSec int64, cableMeters float64, reactionSec f
 	return 2*mtu + 64 /* pause frame */ + int(inflight)
 }
 
-// key identifies an ingress accounting bucket.
-type key struct {
-	port int
-	pg   int
-}
-
 // Outcome says what the MMU did with an admission request.
 type Outcome int
 
@@ -140,17 +134,18 @@ const (
 // MMU is the shared-buffer accountant for one switch. It is not
 // goroutine-safe; the simulation kernel is single-threaded.
 type MMU struct {
-	cfg        Config
-	shared     map[key]int // shared-pool usage per (port, PG)
-	headroom   map[key]int // headroom usage per (port, PG)
-	sharedUsed int         // sum of shared
-	paused     map[key]bool
-	// reserved tracks lossless buckets that have claimed their headroom
-	// reservation (claimed on first use, never returned — matching how
-	// operators provision headroom per configured port). The value is the
-	// bytes claimed, which can differ per PG under PGHeadroom overrides.
-	reserved      map[key]int
-	reservedBytes int
+	cfg Config
+	// buckets holds the accounting of every ingress (port, PG) at index
+	// port<<3|pg, grown the first time a port is used; an all-zero
+	// bucket is simply an idle one.
+	buckets []bucket
+	// paused has bit port<<3|pg set while that bucket is in the paused
+	// (XOFF-sent) state, so Reevaluate visits paused buckets in
+	// ascending (port, PG) order without sorting.
+	paused        []uint64
+	sharedUsed    int     // sum of the buckets' shared bytes
+	reservedBytes int     // sum of the buckets' reservations
+	resumed       []PGRef // Reevaluate's result, reused across calls
 
 	// Counters for monitoring.
 	Drops         uint64
@@ -158,18 +153,23 @@ type MMU struct {
 	PeakShared    int
 }
 
+// bucket is the accounting state of one ingress (port, PG).
+type bucket struct {
+	shared   int // shared-pool bytes charged
+	headroom int // headroom bytes charged
+	// reserved is the headroom reservation a lossless bucket claims on
+	// first use and never returns, matching how operators provision
+	// headroom per configured port. It can differ per PG under
+	// PGHeadroom overrides.
+	reserved int
+}
+
 // New returns an MMU with the given configuration.
 func New(cfg Config) (*MMU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &MMU{
-		cfg:      cfg,
-		shared:   make(map[key]int),
-		headroom: make(map[key]int),
-		paused:   make(map[key]bool),
-		reserved: make(map[key]int),
-	}, nil
+	return &MMU{cfg: cfg}, nil
 }
 
 // Config returns the MMU's configuration.
@@ -196,12 +196,33 @@ func (m *MMU) SharedUsed() int { return m.sharedUsed }
 
 // Usage returns the shared and headroom bytes charged to (port, pg).
 func (m *MMU) Usage(port, pg int) (shared, headroom int) {
-	k := key{port, pg}
-	return m.shared[k], m.headroom[k]
+	if i := port<<3 | pg; i < len(m.buckets) {
+		return m.buckets[i].shared, m.buckets[i].headroom
+	}
+	return 0, 0
 }
 
 // Paused reports whether (port, pg) is in the paused (XOFF-sent) state.
-func (m *MMU) Paused(port, pg int) bool { return m.paused[key{port, pg}] }
+func (m *MMU) Paused(port, pg int) bool {
+	i := port<<3 | pg
+	return i < len(m.buckets) && m.isPaused(i)
+}
+
+func (m *MMU) isPaused(i int) bool { return m.paused[i>>6]&(1<<(i&63)) != 0 }
+
+// index returns the bucket index of (port, pg), growing the table the
+// first time port is used.
+func (m *MMU) index(port, pg int) int {
+	i := port<<3 | pg
+	if i >= len(m.buckets) {
+		n := (port + 1) << 3
+		m.buckets = append(m.buckets, make([]bucket, n-len(m.buckets))...)
+		for len(m.paused) < (n+63)>>6 {
+			m.paused = append(m.paused, 0)
+		}
+	}
+	return i
+}
 
 // sharedPool is the part of the buffer available for dynamic sharing:
 // total minus all claimed headroom reservations.
@@ -211,20 +232,6 @@ func (m *MMU) sharedPool() int {
 		pool = 0
 	}
 	return pool
-}
-
-// claim records the headroom reservation of a lossless bucket on first
-// use.
-func (m *MMU) claim(k key) {
-	if !m.cfg.LosslessPGs[k.pg] {
-		return
-	}
-	if _, ok := m.reserved[k]; ok {
-		return
-	}
-	h := m.cfg.HeadroomFor(k.pg)
-	m.reserved[k] = h
-	m.reservedBytes += h
 }
 
 // threshold returns the current XOFF threshold for one bucket of pg.
@@ -260,81 +267,80 @@ func (m *MMU) ThresholdFor(pg int) int { return m.threshold(pg) }
 // admission outcome together with any pause transition the ingress must
 // signal upstream.
 func (m *MMU) Admit(port, pg, bytes int) (Outcome, Transition) {
-	k := key{port, pg}
+	i := m.index(port, pg)
+	b := &m.buckets[i]
 	lossless := m.cfg.LosslessPGs[pg]
-	m.claim(k)
+	if lossless && b.reserved == 0 {
+		// Claim the headroom reservation on first use. HeadroomFor is
+		// fixed for the MMU's life, so a zero reservation re-claimed
+		// here stays zero.
+		b.reserved = m.cfg.HeadroomFor(pg)
+		m.reservedBytes += b.reserved
+	}
 	thr := m.threshold(pg)
 
-	if m.shared[k]+bytes <= thr && m.sharedUsed+bytes <= m.sharedPool() {
-		m.shared[k] += bytes
+	if b.shared+bytes <= thr && m.sharedUsed+bytes <= m.sharedPool() {
+		b.shared += bytes
 		m.sharedUsed += bytes
 		if m.sharedUsed > m.PeakShared {
 			m.PeakShared = m.sharedUsed
 		}
 		// Even a shared admission can cross into pause territory when
 		// the threshold shrank below current usage.
-		return AdmitShared, m.updatePause(k, thr)
+		return AdmitShared, m.updatePause(i, thr)
 	}
 
-	if lossless && m.headroom[k]+bytes <= m.cfg.HeadroomFor(pg) {
-		m.headroom[k] += bytes
-		return AdmitHeadroom, m.updatePause(k, thr)
+	if lossless && b.headroom+bytes <= m.cfg.HeadroomFor(pg) {
+		b.headroom += bytes
+		return AdmitHeadroom, m.updatePause(i, thr)
 	}
 
 	m.Drops++
 	if lossless {
 		m.LosslessDrops++
 	}
-	return Drop, m.updatePause(k, thr)
+	return Drop, m.updatePause(i, thr)
 }
 
 // Release returns bytes of a departing packet to the pool. Headroom is
 // drained before shared, mirroring hardware that refills reserves first.
 func (m *MMU) Release(port, pg, bytes int) Transition {
-	k := key{port, pg}
-	if h := m.headroom[k]; h > 0 {
-		take := bytes
-		if take > h {
-			take = h
-		}
-		m.headroom[k] = h - take
-		if m.headroom[k] == 0 {
-			delete(m.headroom, k)
-		}
+	i := m.index(port, pg)
+	b := &m.buckets[i]
+	if take := min(bytes, b.headroom); take > 0 {
+		b.headroom -= take
 		bytes -= take
 	}
 	if bytes > 0 {
-		s := m.shared[k]
-		if bytes > s {
-			panic(fmt.Sprintf("buffer: releasing %d from (%d,%d) holding %d", bytes, port, pg, s))
+		if bytes > b.shared {
+			panic(fmt.Sprintf("buffer: releasing %d from (%d,%d) holding %d", bytes, port, pg, b.shared))
 		}
-		m.shared[k] = s - bytes
-		if m.shared[k] == 0 {
-			delete(m.shared, k)
-		}
+		b.shared -= bytes
 		m.sharedUsed -= bytes
 	}
-	return m.updatePause(k, m.threshold(k.pg))
+	return m.updatePause(i, m.threshold(pg))
 }
 
-// updatePause recomputes the pause state of one bucket and returns the
+// updatePause recomputes the pause state of bucket i and returns the
 // transition if it changed.
-func (m *MMU) updatePause(k key, thr int) Transition {
-	if !m.cfg.LosslessPGs[k.pg] {
+func (m *MMU) updatePause(i, thr int) Transition {
+	if !m.cfg.LosslessPGs[i&7] {
 		return None // lossy PGs drop instead of pausing
 	}
+	b := &m.buckets[i]
 	xon := thr - m.cfg.XOFFDelta
 	if xon < 0 {
 		xon = 0
 	}
-	over := m.headroom[k] > 0 || m.shared[k] >= thr
-	under := m.headroom[k] == 0 && m.shared[k] <= xon
-	switch {
-	case over && !m.paused[k]:
-		m.paused[k] = true
+	over := b.headroom > 0 || b.shared >= thr
+	under := b.headroom == 0 && b.shared <= xon
+	bit := uint64(1) << (i & 63)
+	switch paused := m.isPaused(i); {
+	case over && !paused:
+		m.paused[i>>6] |= bit
 		return XOFF
-	case under && m.paused[k]:
-		delete(m.paused, k)
+	case under && paused:
+		m.paused[i>>6] &^= bit
 		return XON
 	default:
 		return None
@@ -344,21 +350,49 @@ func (m *MMU) updatePause(k key, thr int) Transition {
 // CheckConservation audits the MMU's internal accounting and returns the
 // first inconsistency found, or nil. The checks are exactly the
 // conservation laws the accounting relies on: per-bucket usage is
-// strictly positive (zero entries are deleted, negatives are corruption),
-// the shared total equals the sum of the per-bucket counters, headroom is
-// only ever charged to lossless buckets that have claimed a reservation
-// and never beyond it, pause state exists only for lossless buckets, and
-// the reservation ledger matches the claimed set. Deliberately NOT
-// checked: sharedUsed <= sharedPool — a later headroom claim can shrink
-// the pool below existing usage, which is legal and self-corrects as
-// packets drain.
+// non-negative, and the paused bitmap agrees with the buckets (it spans
+// the table and marks no bucket beyond it); the shared total equals the
+// sum of the per-bucket counters; headroom is only ever charged to
+// lossless buckets that have claimed a reservation and never beyond it;
+// pause state exists only for lossless buckets; and the reservation
+// ledger matches the claimed buckets. Deliberately NOT checked:
+// sharedUsed <= sharedPool — a later headroom claim can shrink the pool
+// below existing usage, which is legal and self-corrects as packets
+// drain.
 func (m *MMU) CheckConservation() error {
-	sum := 0
-	for k, v := range m.shared {
-		if v <= 0 {
-			return fmt.Errorf("buffer: shared[%d,%d]=%d (stale or negative entry)", k.port, k.pg, v)
+	if want := (len(m.buckets) + 63) >> 6; len(m.paused) != want {
+		return fmt.Errorf("buffer: paused bitmap has %d words for %d buckets, want %d", len(m.paused), len(m.buckets), want)
+	}
+	for w, word := range m.paused {
+		if word != 0 {
+			if i := w<<6 | (63 - bits.LeadingZeros64(word)); i >= len(m.buckets) {
+				return fmt.Errorf("buffer: paused bit for (%d,%d) beyond the %d-bucket table", i>>3, i&7, len(m.buckets))
+			}
 		}
-		sum += v
+	}
+	sum, reserved := 0, 0
+	for i := range m.buckets {
+		b := &m.buckets[i]
+		port, pg := i>>3, i&7
+		if b.shared < 0 {
+			return fmt.Errorf("buffer: shared[%d,%d]=%d (negative)", port, pg, b.shared)
+		}
+		sum += b.shared
+		reserved += b.reserved
+		switch {
+		case b.headroom < 0:
+			return fmt.Errorf("buffer: headroom[%d,%d]=%d (negative)", port, pg, b.headroom)
+		case b.headroom == 0:
+		case b.reserved == 0:
+			return fmt.Errorf("buffer: headroom charged to unclaimed bucket (%d,%d)", port, pg)
+		case b.headroom > b.reserved:
+			return fmt.Errorf("buffer: headroom[%d,%d]=%d exceeds reservation %d", port, pg, b.headroom, b.reserved)
+		case !m.cfg.LosslessPGs[pg]:
+			return fmt.Errorf("buffer: headroom charged to lossy PG (%d,%d)", port, pg)
+		}
+		if m.isPaused(i) && !m.cfg.LosslessPGs[pg] {
+			return fmt.Errorf("buffer: lossy PG (%d,%d) in paused state", port, pg)
+		}
 	}
 	if sum != m.sharedUsed {
 		return fmt.Errorf("buffer: sum(shared)=%d but sharedUsed=%d", sum, m.sharedUsed)
@@ -369,70 +403,38 @@ func (m *MMU) CheckConservation() error {
 	if m.PeakShared < m.sharedUsed {
 		return fmt.Errorf("buffer: PeakShared=%d below current usage %d", m.PeakShared, m.sharedUsed)
 	}
-	for k, v := range m.headroom {
-		if v <= 0 {
-			return fmt.Errorf("buffer: headroom[%d,%d]=%d (stale or negative entry)", k.port, k.pg, v)
-		}
-		res, claimed := m.reserved[k]
-		if !claimed {
-			return fmt.Errorf("buffer: headroom charged to unclaimed bucket (%d,%d)", k.port, k.pg)
-		}
-		if v > res {
-			return fmt.Errorf("buffer: headroom[%d,%d]=%d exceeds reservation %d", k.port, k.pg, v, res)
-		}
-		if !m.cfg.LosslessPGs[k.pg] {
-			return fmt.Errorf("buffer: headroom charged to lossy PG (%d,%d)", k.port, k.pg)
-		}
-	}
-	for k := range m.paused {
-		if !m.cfg.LosslessPGs[k.pg] {
-			return fmt.Errorf("buffer: lossy PG (%d,%d) in paused state", k.port, k.pg)
-		}
-	}
-	want := 0
-	for _, res := range m.reserved {
-		want += res
-	}
-	if m.reservedBytes != want {
-		return fmt.Errorf("buffer: reservedBytes=%d, want %d for %d claims", m.reservedBytes, want, len(m.reserved))
+	if m.reservedBytes != reserved {
+		return fmt.Errorf("buffer: reservedBytes=%d, want %d", m.reservedBytes, reserved)
 	}
 	return nil
 }
 
 // Reevaluate rechecks every paused bucket against the current (possibly
-// grown) threshold and returns the buckets that may now resume. Hardware
-// evaluates thresholds continuously; an event-driven model must recheck
-// when the unallocated pool grows because of releases elsewhere.
+// grown) threshold and returns the buckets that may now resume, in
+// ascending (port, PG) order. Hardware evaluates thresholds continuously;
+// an event-driven model must recheck when the unallocated pool grows
+// because of releases elsewhere. The returned slice is only valid until
+// the next call.
 func (m *MMU) Reevaluate() []PGRef {
-	var resumed []PGRef
+	m.resumed = m.resumed[:0]
 	// Per-PG thresholds are fixed for the whole sweep (updatePause never
-	// touches pool usage) and resuming one PG does not change another's
-	// verdict, so the XON set is iteration-order independent — but
-	// callers act on the returned order (pause frames, trace events), so
-	// it must not inherit Go's randomized map order. Sort to keep
-	// same-seed runs byte-identical.
+	// touches pool usage), so each is computed once, on first need.
 	var thr [8]int
-	var have [8]bool
-	for k := range m.paused {
-		if !have[k.pg] {
-			thr[k.pg] = m.threshold(k.pg)
-			have[k.pg] = true
-		}
-		if m.updatePause(k, thr[k.pg]) == XON {
-			resumed = append(resumed, PGRef{Port: k.port, PG: k.pg})
-		}
-	}
-	// Reevaluate runs on every transmit and almost always resumes zero
-	// or one bucket; don't pay sort.Slice's setup for those.
-	if len(resumed) > 1 {
-		sort.Slice(resumed, func(i, j int) bool {
-			if resumed[i].Port != resumed[j].Port {
-				return resumed[i].Port < resumed[j].Port
+	var have uint8
+	for w, word := range m.paused {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			pg := i & 7
+			if have&(1<<pg) == 0 {
+				thr[pg] = m.threshold(pg)
+				have |= 1 << pg
 			}
-			return resumed[i].PG < resumed[j].PG
-		})
+			if m.updatePause(i, thr[pg]) == XON {
+				m.resumed = append(m.resumed, PGRef{Port: i >> 3, PG: pg})
+			}
+		}
 	}
-	return resumed
+	return m.resumed
 }
 
 // PGRef names an ingress accounting bucket in Reevaluate results.

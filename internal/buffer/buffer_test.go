@@ -320,6 +320,43 @@ func TestReevaluateResumesAfterRemoteDrain(t *testing.T) {
 	}
 }
 
+// TestReevaluateZeroAlloc pins the transmit-path MMU cycle at zero
+// allocations: three lossless buckets are paused by a Release after a
+// high-α lossy filler shrank the threshold, the filler drains, and
+// Reevaluate resumes all three.
+func TestReevaluateZeroAlloc(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.PGAlpha[1] = 8
+	m := mustNew(t, cfg)
+	const held = 64 << 10
+	cycle := func() {
+		for port := 0; port < 3; port++ {
+			m.Admit(port, 3, held)
+		}
+		// Leave 256 KB unallocated: the lossless threshold drops to 16 KB.
+		filler := cfg.TotalBytes - 3*cfg.HeadroomPerPG - m.SharedUsed() - 256<<10
+		if out, _ := m.Admit(5, 1, filler); out != AdmitShared {
+			t.Fatalf("filler got %v", out)
+		}
+		for port := 0; port < 3; port++ {
+			if tr := m.Release(port, 3, 1<<10); tr != XOFF {
+				t.Fatalf("port %d: release under the shrunken threshold gave %v, want XOFF", port, tr)
+			}
+		}
+		m.Release(5, 1, filler)
+		if got := m.Reevaluate(); len(got) != 3 {
+			t.Fatalf("Reevaluate resumed %v, want 3 buckets", got)
+		}
+		for port := 0; port < 3; port++ {
+			m.Release(port, 3, held-1<<10)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("pause-and-resume cycle allocated %.1f times, want 0", allocs)
+	}
+}
+
 func TestReleasePanicsOnUnderflow(t *testing.T) {
 	m := mustNew(t, defaultConfig())
 	m.Admit(0, 3, 100)

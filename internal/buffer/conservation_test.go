@@ -53,17 +53,18 @@ func TestCheckConservationCatchesCorruption(t *testing.T) {
 		m.Admit(1, 4, 4096)
 		return m
 	}
+	at := func(m *MMU, port, pg int) *bucket { return &m.buckets[m.index(port, pg)] }
 	cases := []struct {
 		name    string
 		corrupt func(m *MMU)
 	}{
 		{"total drift", func(m *MMU) { m.sharedUsed += 100 }},
-		{"negative bucket", func(m *MMU) { m.shared[key{0, 3}] = -5 }},
-		{"stale zero entry", func(m *MMU) { m.shared[key{7, 3}] = 0 }},
-		{"headroom on lossy PG", func(m *MMU) { m.headroom[key{0, 0}] = 64 }},
-		{"headroom beyond reservation", func(m *MMU) { m.headroom[key{0, 3}] = m.cfg.HeadroomPerPG + 1 }},
-		{"unclaimed headroom", func(m *MMU) { m.headroom[key{5, 4}] = 64 }},
-		{"paused lossy PG", func(m *MMU) { m.paused[key{0, 1}] = true }},
+		{"negative bucket", func(m *MMU) { at(m, 0, 3).shared = -5 }},
+		{"paused bitmap disagrees with bucket", func(m *MMU) { m.paused[0] |= 1 << (2<<3 | 3) }},
+		{"headroom on lossy PG", func(m *MMU) { at(m, 0, 0).headroom = 64 }},
+		{"headroom beyond reservation", func(m *MMU) { at(m, 0, 3).headroom = m.cfg.HeadroomPerPG + 1 }},
+		{"unclaimed headroom", func(m *MMU) { at(m, 5, 4).headroom = 64 }},
+		{"paused lossy PG", func(m *MMU) { m.paused[0] |= 1 << (0<<3 | 1) }},
 		{"reservation ledger drift", func(m *MMU) { m.reservedBytes++ }},
 		{"peak below usage", func(m *MMU) { m.PeakShared = m.sharedUsed - 1 }},
 	}

@@ -2,17 +2,17 @@ package experiments
 
 // Parallel-kernel macro benchmarks: the two headline scenarios of the
 // sharded executive (Fig 7 at 1152 servers, the 20K-server pingmesh
-// sweep) at worker counts 1/2/4/8, reporting events/s — the number the
-// `make bench-parallel` regression gate pins against
-// docs/results/bench-parallel.json. Durations are scaled down from the
-// full EXPERIMENTS.md runs so a gate pass stays in CI budget; the
-// fabric sizes are not scaled.
+// sweep) at worker counts 1/2/4/8, reporting events/s. Durations are
+// scaled down from the full EXPERIMENTS.md runs so one pass stays short;
+// the fabric sizes are not scaled. Performance claims use
+// `bash bench/run.sh` (its clos-bulk workload is the sharded Fig 7
+// fabric) and its compare mode instead.
 //
 // On a multi-core host the shards=8 rows should approach linear
 // scaling; on a single-core host (GOMAXPROCS=1) they measure the
-// barrier + outbox overhead instead — still worth pinning, since that
-// overhead regressing hurts every sharded run. TestParallelScaling
-// asserts the >=3x speedup only where the hardware can express it.
+// barrier + outbox overhead instead — the cost every sharded run pays.
+// TestParallelScaling asserts the >=3x speedup only where the hardware
+// can express it.
 
 import (
 	"fmt"

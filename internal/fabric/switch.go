@@ -475,33 +475,38 @@ func (s *Switch) Receive(n int, p *packet.Packet) {
 		}
 	}
 
-	outs, ok := s.forward(n, p, pri, lossless)
-	if !ok || len(outs) == 0 {
+	out, flood, nextHop, ok := s.forward(n, p, pri, lossless)
+	switch {
+	case !ok:
 		return // counted inside forward
-	}
-
-	for _, out := range outs {
-		q := p
-		if len(outs) > 1 {
+	case flood == nil:
+		s.admitForward(n, out, p, pri, lossless, nextHop)
+	case len(flood) == 1:
+		s.admitForward(n, flood[0], p, pri, lossless, nextHop)
+	case len(flood) > 1:
+		for _, out := range flood {
 			// Flooding: every copy is independent so per-hop mutation
 			// (TTL, ECN) stays per-copy.
-			q = p.Clone()
+			s.admitForward(n, out, p.Clone(), pri, lossless, nextHop)
 		}
-		outcome, tr := s.mmu.Admit(n, pri, q.WireLen())
-		s.applyPause(n, pri, tr)
-		if outcome == buffer.Drop {
-			s.C.IngressDrops.Inc()
-			if lossless {
-				s.C.LosslessDrops.Inc()
-			}
-			s.drop(n, pri, q, "buffer-admission")
-			continue
-		}
-		s.finishForward(n, out, q, pri)
-	}
-	if len(outs) > 1 {
 		s.k.PacketPool().Put(p) // only box-less clones went downstream
 	}
+}
+
+// admitForward charges one copy of a frame to its ingress bucket and, if
+// admitted, sends it down the forwarding pipeline toward out.
+func (s *Switch) admitForward(in, out int, p *packet.Packet, pri int, lossless, nextHop bool) {
+	outcome, tr := s.mmu.Admit(in, pri, p.WireLen())
+	s.applyPause(in, pri, tr)
+	if outcome == buffer.Drop {
+		s.C.IngressDrops.Inc()
+		if lossless {
+			s.C.LosslessDrops.Inc()
+		}
+		s.drop(in, pri, p, "buffer-admission")
+		return
+	}
+	s.finishForward(in, out, p, pri, nextHop)
 }
 
 // drop emits a trace event for a discarded frame and recycles it: every
@@ -526,34 +531,38 @@ func (s *Switch) localDst(dst packet.Addr) (*Route, bool) {
 	return nil, false
 }
 
-// forward computes the output port set for a packet. It does not enqueue.
-func (s *Switch) forward(in int, p *packet.Packet, pri int, lossless bool) ([]int, bool) {
+// forward decides where a packet goes; it does not enqueue. A unicast
+// verdict is out with a nil flood set, so the common case allocates
+// nothing; a flood returns the port set instead. nextHop marks a routed
+// (non-local) verdict, whose L2 addressing finishForward rewrites toward
+// the next hop. ok is false when the packet was dropped (and counted).
+func (s *Switch) forward(in int, p *packet.Packet, pri int, lossless bool) (out int, flood []int, nextHop, ok bool) {
 	// Pure L2 frames (no IP): MAC table or flood.
 	if p.IP == nil {
 		if p.Eth.Dst.IsMulticast() {
-			return s.floodPorts(in), true
+			return 0, s.floodPorts(in), false, true
 		}
 		if port, ok := s.lookupMAC(p.Eth.Dst); ok {
-			return []int{port}, true
+			return port, nil, false, true
 		}
 		s.C.Floods.Inc()
-		return s.floodPorts(in), true
+		return 0, s.floodPorts(in), false, true
 	}
 
 	r := s.routes.lookup(p.IP.Dst)
 	if r == nil {
 		s.C.NoRouteDrops.Inc()
 		s.drop(in, pri, p, "no-route")
-		return nil, false
+		return 0, nil, false, false
 	}
 	if !r.Local {
 		out, ok := s.pickECMP(r.Ports, p)
 		if !ok {
 			s.C.NoRouteDrops.Inc()
 			s.drop(in, pri, p, "no-route")
-			return nil, false
+			return 0, nil, false, false
 		}
-		return []int{out}, true
+		return out, nil, true, true
 	}
 
 	// Local delivery: ARP then MAC table.
@@ -561,24 +570,24 @@ func (s *Switch) forward(in int, p *packet.Packet, pri int, lossless bool) ([]in
 	if !ok {
 		s.C.ARPMissDrops.Inc()
 		s.drop(in, pri, p, "arp-miss")
-		return nil, false
+		return 0, nil, false, false
 	}
 	if port, ok := s.lookupMAC(mac); ok {
 		p.Eth.Dst = mac // rewrite for final hop
 		p.Eth.Src = s.mac
-		return []int{port}, true
+		return port, nil, false, true
 	}
 	// Incomplete ARP entry: the MAC is known at L3 but not in the L2
 	// table. Standard switches flood — the paper's deadlock trigger.
 	if s.cfg.DropLosslessOnIncompleteARP && lossless {
 		s.C.ARPIncompleteDrops.Inc()
 		s.drop(in, pri, p, "arp-incomplete")
-		return nil, false
+		return 0, nil, false, false
 	}
 	s.C.Floods.Inc()
 	p.Eth.Dst = mac
 	p.Eth.Src = s.mac
-	return s.floodPorts(in), true
+	return 0, s.floodPorts(in), false, true
 }
 
 // portDown reports whether a port has lost carrier — its cable is dead
@@ -641,12 +650,12 @@ func (s *Switch) floodPorts(in int) []int {
 
 // finishForward applies TTL/MAC rewrite, ECN marking and enqueues after
 // the pipeline latency.
-func (s *Switch) finishForward(in, out int, p *packet.Packet, pri int) {
+func (s *Switch) finishForward(in, out int, p *packet.Packet, pri int, nextHop bool) {
 	if p.IP != nil {
 		p.IP.TTL--
 		// Rewrite L2 addressing toward the next hop, unless forward()
 		// already set the final server MAC (local delivery or flood).
-		if r := s.routes.lookup(p.IP.Dst); r != nil && !r.Local {
+		if nextHop {
 			p.Eth.Src = s.mac
 			p.Eth.Dst = s.port[out].peerMAC
 		}

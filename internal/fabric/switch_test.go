@@ -151,6 +151,40 @@ func TestLocalDelivery(t *testing.T) {
 	}
 }
 
+// TestUnicastForwardZeroAlloc pins the per-frame switch path at zero
+// allocations once its queues and the kernel's free list are warm: one
+// unicast data frame from Receive through admission, the forwarding
+// pipeline, transmit, release and link delivery to the destination host.
+func TestUnicastForwardZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(1)
+	sw, hosts := oneSwitchNet(t, k, DefaultConfig("tor", 4), []simtime.Rate{40 * simtime.Gbps, 40 * simtime.Gbps})
+	src, dst := hosts[0], hosts[1]
+	p := &packet.Packet{
+		IP: &packet.IPv4{
+			DSCP: 3, ECN: packet.ECNECT0, Protocol: packet.ProtoUDP, Src: src.ip, Dst: dst.ip,
+		},
+		UDPH:       &packet.UDP{SrcPort: 49152, DstPort: packet.RoCEv2Port},
+		BTH:        &packet.BTH{Opcode: packet.OpSendOnly},
+		PayloadLen: 1024,
+	}
+	send := func() {
+		p.Eth = packet.Ethernet{Dst: sw.MAC(), Src: src.mac, EtherType: packet.EtherTypeIPv4}
+		p.IP.TTL = 64
+		dst.got = dst.got[:0]
+		sw.Receive(0, p)
+		k.Run()
+		if len(dst.got) != 1 {
+			t.Fatalf("delivered %d frames, want 1", len(dst.got))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Fatalf("forwarding one unicast frame allocated %.1f times, want 0", allocs)
+	}
+}
+
 func TestIncastGeneratesPFC(t *testing.T) {
 	// Two 40G senders into one 40G receiver: the receiver's egress
 	// queue builds, ingress accounting crosses XOFF, and the switch

@@ -133,7 +133,7 @@ type NIC struct {
 	dm     *dcqcn.Metrics     // lazily registered device-level DCQCN metrics
 
 	qps     map[uint32]*transport.QP
-	order   []uint32
+	order   []*transport.QP // creation order, served round-robin by txKick
 	rrIdx   int
 	txArmed sim.Handle
 
@@ -340,7 +340,7 @@ func (n *NIC) CreateQP(cfg transport.Config) *transport.QP {
 		panic(fmt.Sprintf("nic %s: duplicate QPN %d", n.cfg.Name, cfg.QPN))
 	}
 	n.qps[cfg.QPN] = q
-	n.order = append(n.order, cfg.QPN)
+	n.order = append(n.order, q)
 	n.k.Announce(q)
 	return q
 }
@@ -409,8 +409,7 @@ func (n *NIC) txKick() {
 		var earliest simtime.Time = simtime.Forever
 		sent := false
 		for i := 0; i < len(n.order); i++ {
-			qpn := n.order[(n.rrIdx+i)%len(n.order)]
-			q := n.qps[qpn]
+			q := n.order[(n.rrIdx+i)%len(n.order)]
 			at := q.NextReady(now)
 			if at.After(now) {
 				if at.Before(earliest) {

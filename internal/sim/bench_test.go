@@ -1,9 +1,9 @@
 package sim
 
 // Kernel micro-benchmarks: the schedule/fire/cancel mixes every paper
-// artifact reduces to. Each benchmark reports events/s, the metric
-// docs/results/bench-kernel.json pins and `make bench-compare` regresses
-// against. The mixes:
+// artifact reduces to. Each benchmark reports events/s, for measuring
+// while working on the scheduler; whole-simulation speed is measured and
+// compared with `bash bench/run.sh`. The mixes:
 //
 //   - ScheduleFire: a self-rescheduling chain, the pattern of pipeline
 //     completions and pacers (queue depth ~1).
