@@ -5,10 +5,11 @@ GO ?= go
 all: build vet test
 
 # Tier-1 gate: every PR must keep this green (see README). Order
-# matters — gofmt and vet catch mistakes the compiler accepts, build
-# catches packages tests don't import, then the full test suite, then
-# the benchmark module's own tests (bench/ is a separate module, so the
-# root `go test ./...` never reaches them), then the golden experiments
+# matters — gofmt and vet catch mistakes the compiler accepts (vet runs
+# once per module: bench/ is a separate module the root `go vet ./...`
+# stops at), build catches packages tests don't import, then the full
+# test suite, then the benchmark module's own tests (the root
+# `go test ./...` never reaches them either), then the golden experiments
 # replayed under the runtime invariant auditor, then the quick chaos
 # campaign (fault injection with safeguard scoring; exits nonzero if an
 # expected safeguard fails to fire), then the quick transport matrix
@@ -19,6 +20,7 @@ all: build vet test
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd bench && $(GO) test ./...

@@ -21,6 +21,11 @@ type Route struct {
 	// static is the as-configured port set. Ports is the live ECMP group
 	// the control plane prunes when next hops die and restores from
 	// static when they come back (see ResetRoutes / PruneRoutes).
+	//
+	// Both are table-owned and shared: consecutive routes with equal
+	// port sets share one static array, and Ports starts as static.
+	// Nothing writes a port array once a route holds it, so sharing is
+	// safe; a route whose live group changes gets a fresh slice.
 	static []int
 }
 
@@ -50,33 +55,53 @@ func routeKey(bits int, prefix uint32) uint64 { return uint64(bits)<<32 | uint64
 // on the first read after a batch of adds. One stable sort of the
 // insertion-ordered slice yields exactly the order that sorting after
 // every insert would, so forwarding and ECMP do not depend on batching.
+//
+// A fleet switch holds hundreds of routes over a handful of distinct
+// ECMP groups, added in runs that share one group (a ToR's /24 per
+// remote ToR all go out its uplinks). add copies a port set only when
+// it differs from the previous route's, so a run costs one copy.
 type routeTable struct {
 	routes  []Route        // sorted by Bits descending once settled
 	index   map[uint64]int // routeKey → position in routes
 	maxBits int
-	dirty   bool // routes appended since the last settle
+	dirty   bool  // routes appended since the last settle
+	last    []int // the most recent table-owned port set
+	scratch []int // reused by ResetRoutes/PruneRoutes to build live groups
 }
 
 // add inserts a route, replacing any route with the same length and
 // prefix. Host bits beyond the length are cleared first, so 10.0.1.7/24
-// and 10.0.1.0/24 name one route.
+// and 10.0.1.0/24 name one route. The table keeps its own copy of the
+// port set (shared with the previous route when equal), never r.Ports
+// itself, so the caller may reuse or change its slice afterwards.
 func (t *routeTable) add(r Route) {
 	if r.Bits < 0 || r.Bits > 32 {
 		panic(fmt.Sprintf("fabric: prefix length %d", r.Bits))
 	}
-	r.Prefix = packet.AddrFromUint32(r.Prefix.Uint32() & prefixMask(r.Bits))
-	r.static = append([]int(nil), r.Ports...)
-	k := routeKey(r.Bits, r.Prefix.Uint32())
+	if !slices.Equal(r.Ports, t.last) {
+		t.last = append([]int(nil), r.Ports...)
+	}
+	// A fresh entry rather than an edited r: storing r would make escape
+	// analysis treat the caller's Ports as leaking, heap-allocating every
+	// []int{port} literal at the call sites.
+	e := Route{
+		Prefix: packet.AddrFromUint32(r.Prefix.Uint32() & prefixMask(r.Bits)),
+		Bits:   r.Bits,
+		Ports:  t.last,
+		Local:  r.Local,
+		static: t.last,
+	}
+	k := routeKey(e.Bits, e.Prefix.Uint32())
 	if i, ok := t.index[k]; ok {
-		t.routes[i] = r
+		t.routes[i] = e
 		return
 	}
 	if t.index == nil {
 		t.index = make(map[uint64]int)
 	}
 	t.index[k] = len(t.routes)
-	t.routes = append(t.routes, r)
-	t.maxBits = max(t.maxBits, r.Bits)
+	t.routes = append(t.routes, e)
+	t.maxBits = max(t.maxBits, e.Bits)
 	t.dirty = true
 }
 
@@ -111,23 +136,41 @@ func (t *routeTable) lookup(a packet.Addr) *Route {
 	return nil
 }
 
+// setLive installs live (a scratch slice) as the route's ECMP group,
+// copy-on-write: an unchanged group stays as it is, the full static set
+// is shared rather than copied, and only a genuinely new group gets its
+// own slice. Ports keep their static order, so ECMP hashing over the
+// surviving ports is the same as if the group had been edited in place.
+func (r *Route) setLive(live []int) {
+	switch {
+	case slices.Equal(live, r.Ports):
+	case slices.Equal(live, r.static):
+		r.Ports = r.static
+	default:
+		r.Ports = append([]int(nil), live...)
+	}
+}
+
 // ResetRoutes rebuilds every non-local route's live ECMP group from its
 // static configuration, keeping only ports for which portUp returns
 // true. The control plane calls this as the first step of reconvergence
 // after a carrier change.
 func (s *Switch) ResetRoutes(portUp func(port int) bool) {
-	s.routes.settle()
-	for i := range s.routes.routes {
-		r := &s.routes.routes[i]
+	t := &s.routes
+	t.settle()
+	for i := range t.routes {
+		r := &t.routes[i]
 		if r.Local {
 			continue
 		}
-		r.Ports = r.Ports[:0]
+		live := t.scratch[:0]
 		for _, p := range r.static {
 			if portUp(p) {
-				r.Ports = append(r.Ports, p)
+				live = append(live, p)
 			}
 		}
+		r.setLive(live)
+		t.scratch = live
 	}
 }
 
@@ -136,23 +179,25 @@ func (s *Switch) ResetRoutes(portUp func(port int) bool) {
 // the prefix). It reports whether anything changed, so a fixpoint
 // iteration knows when withdrawal has propagated fully.
 func (s *Switch) PruneRoutes(usable func(prefix packet.Addr, bits, port int) bool) bool {
-	s.routes.settle()
+	t := &s.routes
+	t.settle()
 	changed := false
-	for i := range s.routes.routes {
-		r := &s.routes.routes[i]
+	for i := range t.routes {
+		r := &t.routes[i]
 		if r.Local {
 			continue
 		}
-		kept := r.Ports[:0]
+		live := t.scratch[:0]
 		for _, p := range r.Ports {
 			if usable(r.Prefix, r.Bits, p) {
-				kept = append(kept, p)
+				live = append(live, p)
 			}
 		}
-		if len(kept) != len(r.Ports) {
+		if len(live) != len(r.Ports) {
 			changed = true
+			r.setLive(live)
 		}
-		r.Ports = kept
+		t.scratch = live
 	}
 	return changed
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rocesim/internal/packet"
+	"rocesim/internal/sim"
 )
 
 // linearLookup is the longest-prefix match by plain scan of a settled
@@ -161,19 +162,70 @@ func fleetToRRoutes() []Route {
 func TestRouteTableBuildAllocsLinear(t *testing.T) {
 	rs := fleetToRRoutes()
 	dst := packet.IPv4Addr(10, 34, 22, 9)
-	allocs := testing.AllocsPerRun(5, func() {
-		var rt routeTable
-		for _, r := range rs {
-			rt.add(r)
-		}
-		if rt.lookup(dst) == nil {
-			t.Fatal("no route")
-		}
-	})
-	// One allocation per route copies its static port set; the slice and
-	// the index grow geometrically. A map rebuilt per add costs several
-	// allocations per route.
-	if limit := 1.25 * float64(len(rs)); allocs > limit {
-		t.Fatalf("building a %d-route table took %.0f allocations, want <= %.0f", len(rs), allocs, limit)
+	build := func(rs []Route) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var rt routeTable
+			for _, r := range rs {
+				rt.add(r)
+			}
+			if rt.lookup(dst) == nil {
+				t.Fatal("no route")
+			}
+		})
 	}
+	bare := slices.Clone(rs)
+	for i := range bare {
+		bare[i].Ports = nil
+	}
+	allocs, base := build(rs), build(bare)
+	// Without port sets, only the slice and the index allocate, growing
+	// geometrically; a map rebuilt per add would cost several
+	// allocations per route.
+	if limit := 0.1 * float64(len(rs)); base > limit {
+		t.Fatalf("building a %d-route table took %.0f allocations, want <= %.0f", len(rs), base, limit)
+	}
+	// The default and the 839 remote-ToR routes all go out the same
+	// uplinks, added in one run: the table keeps one copy of that set.
+	if allocs > base+1 {
+		t.Fatalf("port sets cost %.0f allocations for %d routes over one ECMP group, want 1",
+			allocs-base, len(rs)-1)
+	}
+}
+
+// TestRoutesAddedFromOneSliceStayIndependent adds two routes from one
+// caller slice and withdraws a next hop for one prefix only: the other
+// route's live group, both static sets and the caller's slice must be
+// untouched, and a reset restores both groups in their static order.
+func TestRoutesAddedFromOneSliceStayIndependent(t *testing.T) {
+	sw, err := NewSwitch(sim.NewKernel(1), DefaultConfig("sw", 4), swMAC(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports := []int{1, 2, 3}
+	a, b := hostIP(1, 0), hostIP(2, 0)
+	sw.AddRoute(Route{Prefix: a, Bits: 24, Ports: ports})
+	sw.AddRoute(Route{Prefix: b, Bits: 24, Ports: ports})
+	check := func(stage string, wantA, wantB []int) {
+		t.Helper()
+		ra, rb := sw.routes.lookup(hostIP(1, 1)), sw.routes.lookup(hostIP(2, 1))
+		if !slices.Equal(ra.Ports, wantA) || !slices.Equal(rb.Ports, wantB) {
+			t.Fatalf("%s: live groups %v and %v, want %v and %v", stage, ra.Ports, rb.Ports, wantA, wantB)
+		}
+		for _, r := range []*Route{ra, rb} {
+			if !slices.Equal(r.static, []int{1, 2, 3}) {
+				t.Fatalf("%s: static set of %v became %v", stage, r.Prefix, r.static)
+			}
+		}
+		if !slices.Equal(ports, []int{1, 2, 3}) {
+			t.Fatalf("%s: the caller's slice became %v", stage, ports)
+		}
+	}
+	if !sw.PruneRoutes(func(prefix packet.Addr, _, port int) bool { return prefix != a || port != 2 }) {
+		t.Fatal("pruning a live next hop reported no change")
+	}
+	check("prune port 2 for a", []int{1, 3}, []int{1, 2, 3})
+	sw.ResetRoutes(func(port int) bool { return port != 1 })
+	check("reset with port 1 down", []int{2, 3}, []int{2, 3})
+	sw.ResetRoutes(func(int) bool { return true })
+	check("reset with every port up", []int{1, 2, 3}, []int{1, 2, 3})
 }

@@ -1,18 +1,22 @@
 // Package sim implements the discrete-event simulation engine that every
 // other component runs on.
 //
-// The engine is single-threaded and fully deterministic: events fire in
-// timestamp order, and events scheduled for the same instant fire in the
-// order they were scheduled (a monotone sequence number breaks ties).
-// Randomness comes only from named, seeded streams handed out by the
-// Kernel, so a run is reproducible from its seed alone.
+// The engine is fully deterministic: events fire in the total order
+// (at, observer band, schedAt, lane, seq). Same-instant events fire
+// normal band before observer band (AtObserve), then by the clock at
+// which each was scheduled, then by ordering lane (link deliveries carry
+// a per-wire lane, everything else lane 0), then in schedule order (a
+// monotone sequence number). On one kernel with lane 0 throughout this
+// is plain schedule order within each band. Randomness comes only from
+// named, seeded streams handed out by the Kernel, so a run is
+// reproducible from its seed alone.
 //
 // The scheduler is built for event rate: a hand-inlined 4-ary heap over a
-// flat slice of *item (no interface boxing, no container/heap), with a
-// free-list that recycles items so steady-state scheduling performs zero
-// allocations. Ordering is the total order (at, seq), so heap shape never
-// leaks into fire order — replacing the heap arity or layout cannot
-// change a simulation's results.
+// flat slice of entries carrying their ordering key inline (no interface
+// boxing, no container/heap), with a free-list that recycles items so
+// steady-state scheduling performs zero allocations. Because the order is
+// total, heap shape never leaks into fire order — replacing the heap
+// arity or layout cannot change a simulation's results.
 package sim
 
 import (
@@ -102,7 +106,7 @@ func (h Handle) Pending() bool {
 type Kernel struct {
 	now       simtime.Time
 	seq       uint64
-	queue     []heapEnt // 4-ary min-heap ordered by (at, seq)
+	queue     []heapEnt // 4-ary min-heap ordered by (at, band, schedAt, lane, seq)
 	free      []*item   // recycled items; steady-state At/After allocate nothing
 	cancelled int       // items in queue already cleared (lazily deleted)
 	seed      int64
@@ -461,10 +465,11 @@ func (k *Kernel) schedule(at simtime.Time) *item {
 }
 
 // observerBand is OR'ed into an observer event's ordering sequence.
-// Because fire order is the total order (at, seq) and normal sequence
-// numbers never reach 2^63, every observer event at an instant sorts
-// after every normally-scheduled event of that instant, while observer
-// events keep their mutual scheduling order — no extra heap key needed.
+// before() compares the band bit right after at, ahead of schedAt, lane
+// and the sequence itself, and normal sequence numbers never reach 2^63,
+// so every observer event at an instant sorts after every
+// normally-scheduled event of that instant, while observer events keep
+// their mutual (schedAt, lane, seq) order — no extra heap key needed.
 const observerBand = uint64(1) << 63
 
 // AtObserve schedules fn in the instant's observer band: it fires at
@@ -612,10 +617,35 @@ func (k *Kernel) Run() { k.RunUntil(simtime.Forever) }
 // with the same seed hand out identical streams for identical names, and
 // streams for different names are independent, so adding a consumer never
 // perturbs existing ones.
+//
+// The stream is seeded on its first draw, not here: a math/rand
+// generator is about 4.9 KB and costs 1,841 LCG steps to seed, and a
+// fleet hands out tens of thousands of streams (one per link, NIC and
+// QP) of which most are never drawn. Every draw sequence is exactly
+// that of rand.New(rand.NewSource(seed ^ fnv64(name))).
 func (k *Kernel) Rand(name string) *rand.Rand {
 	h := fnv64(name)
-	return rand.New(rand.NewSource(k.seed ^ int64(h)))
+	return rand.New(&lazySource{seed: k.seed ^ int64(h)})
 }
+
+// lazySource is a rand.Source64 that defers building its generator to
+// the first draw. Seed makes it lazy again, like reseeding a fresh
+// source.
+type lazySource struct {
+	seed int64
+	src  rand.Source64 // nil until the first draw after creation or Seed
+}
+
+func (s *lazySource) load() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.load().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.load().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // NamedSeq returns the next value (1, 2, 3, ...) of a kernel-scoped
 // counter. Components use it to derive unique per-kernel stream names

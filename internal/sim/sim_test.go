@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +152,82 @@ func TestDeterministicRandStreams(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different names must give independent streams")
+	}
+}
+
+// TestRandStreamMatchesEagerSource pins the stream a kernel hands out
+// to rand.New(rand.NewSource(seed ^ fnv64(name))) draw for draw, across
+// every rand.Rand method family and a mid-stream reseed.
+func TestRandStreamMatchesEagerSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+		for _, name := range []string{"", "nic0", "link/3", "qp/srv-0-0-1/17"} {
+			got := NewKernel(seed).Rand(name)
+			want := rand.New(rand.NewSource(seed ^ int64(fnv64(name))))
+			for i := 0; i < 400; i++ {
+				if i == 250 {
+					got.Seed(seed + 99)
+					want.Seed(seed + 99)
+				}
+				var g, w any
+				switch i % 10 {
+				case 0:
+					g, w = got.Int63(), want.Int63()
+				case 1:
+					g, w = got.Uint64(), want.Uint64()
+				case 2:
+					g, w = got.Float64(), want.Float64()
+				case 3:
+					g, w = got.Intn(1000), want.Intn(1000)
+				case 4:
+					g, w = got.Int63n(1<<40+3), want.Int63n(1<<40+3)
+				case 5:
+					g, w = fmt.Sprint(got.Perm(7)), fmt.Sprint(want.Perm(7))
+				case 6:
+					a, b := []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3, 4}
+					got.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+					want.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+					g, w = fmt.Sprint(a), fmt.Sprint(b)
+				case 7:
+					g, w = got.NormFloat64(), want.NormFloat64()
+				case 8:
+					g, w = got.ExpFloat64(), want.ExpFloat64()
+				case 9:
+					a, b := make([]byte, 11), make([]byte, 11)
+					got.Read(a)
+					want.Read(b)
+					g, w = fmt.Sprint(a), fmt.Sprint(b)
+				}
+				if g != w {
+					t.Fatalf("seed %d stream %q draw %d: got %v, want %v", seed, name, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestUndrawnStreamIsSmall guards seeding on first draw: a stream that
+// is handed out but never drawn must not carry a seeded generator
+// (about 4.9 KB), since large fleets hand out tens of thousands of
+// streams and draw from few.
+func TestUndrawnStreamIsSmall(t *testing.T) {
+	const n = 1000
+	k := NewKernel(1)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("link/%d", i)
+	}
+	streams := make([]*rand.Rand, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, name := range names {
+		streams[i] = k.Rand(name)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("an undrawn stream allocates %.0f bytes, want < 1024", per)
+	}
+	if streams[0].Int63() == streams[1].Int63() {
+		t.Fatal("distinct names drew the same first value")
 	}
 }
 

@@ -10,6 +10,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -35,6 +36,10 @@ const (
 // Forever is a sentinel meaning "no deadline". It is far enough in the
 // future that no experiment reaches it.
 const Forever Time = 1<<63 - 1
+
+// MaxDuration is the largest representable Duration (about 106 days).
+// Rate arithmetic whose exact result lies beyond it saturates here.
+const MaxDuration Duration = math.MaxInt64
 
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
@@ -111,9 +116,14 @@ func (r Rate) String() string {
 	}
 }
 
+// bitPicoseconds is picoseconds per second times bits per byte: the
+// factor between bytes × picoseconds and bits × seconds.
+const bitPicoseconds = 8 * uint64(Second)
+
 // Transmission returns the time to serialize n bytes onto a link of rate r.
 // It rounds up to the next picosecond so that back-to-back transmissions
-// never overlap.
+// never overlap. A time beyond MaxDuration (1.2 MB at 1 b/s, 1.2 PB at
+// 1 Gb/s) saturates at MaxDuration.
 func (r Rate) Transmission(n int) Duration {
 	if r <= 0 {
 		panic("simtime: non-positive rate")
@@ -121,25 +131,38 @@ func (r Rate) Transmission(n int) Duration {
 	if n <= 0 {
 		return 0
 	}
-	// bits * ps_per_second / rate, rounded up. 128-bit multiply: megabyte
-	// counts overflow int64 when scaled to picoseconds.
-	hi, lo := bits.Mul64(uint64(n)*8, uint64(Second))
+	// bytes * 8 * ps_per_second / rate, rounded up, with a 128-bit
+	// product: megabyte counts overflow 64 bits when scaled to picoseconds.
+	hi, lo := bits.Mul64(uint64(n), bitPicoseconds)
+	if hi >= uint64(r) {
+		return MaxDuration // the quotient needs more than 64 bits
+	}
 	q, rem := bits.Div64(hi, lo, uint64(r))
+	if q >= uint64(MaxDuration) {
+		return MaxDuration
+	}
 	if rem > 0 {
 		q++
 	}
 	return Duration(q)
 }
 
-// BytesIn returns how many whole bytes rate r delivers in duration d.
+// BytesIn returns how many whole bytes rate r delivers in duration d,
+// saturating at math.MaxInt64.
 func (r Rate) BytesIn(d Duration) int64 {
 	if d <= 0 || r <= 0 {
 		return 0
 	}
-	// 128-bit multiply to avoid overflow: bits = r * d / Second, bytes = bits/8.
+	// rate * ps / (8 * ps_per_second), with a 128-bit product.
 	hi, lo := bits.Mul64(uint64(r), uint64(d))
-	q, _ := bits.Div64(hi, lo, uint64(Second))
-	return int64(q / 8)
+	if hi >= bitPicoseconds {
+		return math.MaxInt64 // the quotient needs more than 64 bits
+	}
+	q, _ := bits.Div64(hi, lo, bitPicoseconds)
+	if q > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(q)
 }
 
 // Scale returns the rate multiplied by f, saturating at 1 bps minimum when

@@ -149,10 +149,14 @@ func NewRegistry() *Registry {
 // duplicates: two components publishing under one name is always a
 // wiring bug.
 func (r *Registry) claim(k string, kind refKind, i int) {
-	if _, dup := r.keys[k]; dup {
+	// One map operation per registration: a duplicate overwrites its key
+	// instead of growing the map. The registry is not usable after the
+	// panic, which ends a mis-wired build.
+	n := len(r.keys)
+	r.keys[k] = metricRef{kind: kind, i: int32(i)}
+	if len(r.keys) == n {
 		panic(fmt.Sprintf("telemetry: duplicate metric %q", k))
 	}
-	r.keys[k] = metricRef{kind: kind, i: int32(i)}
 }
 
 // Counter registers and returns a counter. A nil registry returns a nil

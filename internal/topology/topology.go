@@ -349,15 +349,16 @@ func Build(k *sim.Kernel, spec Spec) (*Network, error) {
 			// hash — but the per-destination entries are what the control
 			// plane withdraws next hops from when a path dies (a default
 			// route could only be withdrawn for all destinations at once).
+			// The routes are added in one run, so the table keeps a single
+			// copy of the group (AddRoute copies; uplinks is reused).
 			if len(uplinks) > 0 {
-				tor.AddRoute(fabric.Route{Prefix: packet.Addr{}, Bits: 0, Ports: append([]int(nil), uplinks...)})
+				tor.AddRoute(fabric.Route{Prefix: packet.Addr{}, Bits: 0, Ports: uplinks})
 				for p2 := 0; p2 < spec.Podsets; p2++ {
 					for t2 := 0; t2 < spec.TorsPerPod; t2++ {
 						if p2 == p && t2 == t {
 							continue
 						}
-						tor.AddRoute(fabric.Route{Prefix: torSubnet(p2, t2), Bits: 24,
-							Ports: append([]int(nil), uplinks...)})
+						tor.AddRoute(fabric.Route{Prefix: torSubnet(p2, t2), Bits: 24, Ports: uplinks})
 					}
 				}
 			}
@@ -405,8 +406,7 @@ func Build(k *sim.Kernel, spec Spec) (*Network, error) {
 						continue
 					}
 					for t2 := 0; t2 < spec.TorsPerPod; t2++ {
-						leaf.AddRoute(fabric.Route{Prefix: torSubnet(p2, t2), Bits: 24,
-							Ports: append([]int(nil), spinePorts...)})
+						leaf.AddRoute(fabric.Route{Prefix: torSubnet(p2, t2), Bits: 24, Ports: spinePorts})
 					}
 				}
 			}
