@@ -10,9 +10,22 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"rocesim/internal/simtime"
 )
+
+// TestHeapLayoutSizes pins the queue's memory layout: a 16-byte slot
+// puts a node's four children in one 64-byte cache line, and an item of
+// at most 64 bytes stays in the 64-byte allocation size class.
+func TestHeapLayoutSizes(t *testing.T) {
+	if s := unsafe.Sizeof(heapEnt{}); s != 16 {
+		t.Errorf("heap slot is %d bytes, want 16", s)
+	}
+	if s := unsafe.Sizeof(item{}); s > 64 {
+		t.Errorf("item is %d bytes, want at most 64", s)
+	}
+}
 
 // TestScheduleFireZeroAlloc pins the steady-state schedule→fire cycle
 // at zero allocations once the free-list is warm.
@@ -32,6 +45,40 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRescheduleInsideEventZeroAlloc pins a self-rescheduling chain —
+// the callback's schedule refills its own firing slot — at zero
+// allocations per event once warm, above a few far-future events so the
+// refilled root has children to sift past.
+func TestRescheduleInsideEventZeroAlloc(t *testing.T) {
+	const chain = 100
+	k := NewKernel(1)
+	nop := func() {}
+	for i := 0; i < 15; i++ {
+		k.After(simtime.Second, nop)
+	}
+	n := 0
+	var fn Event
+	fn = func() {
+		n++
+		if n%chain != 0 {
+			k.After(simtime.Nanosecond, fn)
+		}
+	}
+	run := func() {
+		k.After(simtime.Nanosecond, fn)
+		k.RunUntil(k.Now().Add(chain * simtime.Nanosecond))
+	}
+	run() // warm
+
+	allocs := testing.AllocsPerRun(100, run)
+	if allocs != 0 {
+		t.Fatalf("a %d-event self-rescheduling chain allocated %.1f times, want 0", chain, allocs)
+	}
+	if n != 102*chain || k.Pending() != 15 {
+		t.Fatalf("fired %d chain events with %d pending, want %d and 15", n, k.Pending(), 102*chain)
 	}
 }
 

@@ -16,8 +16,14 @@ package sim
 //   - Drain: burst-fill then drain, the incast pattern.
 //   - Mixed: interleaved schedule/fire/cancel at the ratios a DCQCN
 //     storm run exhibits (~6 schedules, 1 cancel per 6 fires).
+//   - Fanout: the rack-scale dispatch shape — a queue about 200 deep
+//     where nearly every fired event schedules a follow-up from inside
+//     its callback, with delays from a fixed mix (about 40% under
+//     100 ns, 50% under 10 µs, 10% longer), and a few events schedule
+//     nothing (their slot is taken back by an event that schedules two).
 
 import (
+	"math/rand"
 	"testing"
 
 	"rocesim/internal/simtime"
@@ -125,4 +131,54 @@ func BenchmarkKernelMixed(b *testing.B) {
 	k.After(simtime.Nanosecond, fn)
 	k.Run()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+func BenchmarkKernelFanout(b *testing.B) {
+	const depth = 200
+	rng := rand.New(rand.NewSource(1))
+	var delays [1024]simtime.Duration // -1: schedule nothing
+	for i := range delays {
+		switch r := rng.Intn(100); {
+		case r < 3:
+			delays[i] = -1
+		case r < 43:
+			delays[i] = simtime.Duration(rng.Int63n(int64(100 * simtime.Nanosecond)))
+		case r < 93:
+			delays[i] = 100*simtime.Nanosecond + simtime.Duration(rng.Int63n(int64(9900*simtime.Nanosecond)))
+		default:
+			delays[i] = 10*simtime.Microsecond + simtime.Duration(rng.Int63n(int64(simtime.Millisecond)))
+		}
+	}
+	k := NewKernel(1)
+	draws, owed := 0, 0
+	draw := func() simtime.Duration {
+		d := delays[draws%len(delays)]
+		draws++
+		return d
+	}
+	var fn Event
+	fn = func() {
+		if k.EventsFired() >= uint64(b.N) {
+			return
+		}
+		d := draw()
+		if d < 0 {
+			owed++
+			return
+		}
+		k.After(d, fn)
+		if owed > 0 {
+			if d = draw(); d >= 0 {
+				owed--
+				k.After(d, fn)
+			}
+		}
+	}
+	for i := 0; i < depth; i++ {
+		k.After(simtime.Duration(i)*simtime.Nanosecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(k.EventsFired())/b.Elapsed().Seconds(), "events/s")
 }

@@ -27,14 +27,15 @@
 //     and NamedSeq counters are group-scoped, so "link/7" names the same
 //     stream no matter how the fabric is partitioned;
 //   - packet UIDs are per-NIC counters, already partition-independent;
-//   - the event-heap total order (at, schedAt, lane, seq) is itself
-//     partition-independent for everything that can cross shards: a
-//     cross-shard arrival carries the sender's schedule time (schedAt)
-//     and its link lane, so it interleaves with the destination's own
-//     same-picosecond events exactly where the single kernel would have
-//     fired it — by cause time, then wire lane (stable link ID + side,
-//     like a switch sweeping ingress ports in port order), with the
-//     deterministic merge order as the final tiebreak.
+//   - the event-heap total order (at, observer band, schedAt, lane, seq)
+//     is itself partition-independent for everything that can cross
+//     shards (link deliveries, all in the normal band): a cross-shard
+//     arrival carries the sender's schedule time (schedAt) and its link
+//     lane, so it interleaves with the destination's own same-picosecond
+//     events exactly where the single kernel would have fired it — by
+//     cause time, then wire lane (stable link ID + side, like a switch
+//     sweeping ingress ports in port order), with the deterministic
+//     merge order as the final tiebreak.
 //
 // The global kernel runs control-plane work (monitors, pingmesh probes,
 // experiment harness callbacks) single-threaded at the barrier: when
@@ -340,11 +341,11 @@ func runWindowRecover(s *Kernel, req windowReq) (err error) {
 // mergeOutboxes drains every shard's outbox into the destination heaps
 // in (at, schedAt, lane, srcShard, srcSeq) order — a pure function of
 // the per-shard executions, independent of worker interleaving. The
-// heap's own (at, schedAt, lane, seq) comparison then interleaves the
-// merged arrivals with events the destination scheduled itself exactly
-// as a single kernel would: by cause time, then wire lane, with the
-// merged insertion order (and hence fresh sequence numbers) as the
-// final deterministic tiebreak.
+// heap's own (at, observer band, schedAt, lane, seq) comparison then
+// interleaves the merged arrivals (all normal band) with events the
+// destination scheduled itself exactly as a single kernel would: by
+// cause time, then wire lane, with the merged insertion order (and hence
+// fresh sequence numbers) as the final deterministic tiebreak.
 func (g *ShardGroup) mergeOutboxes(bound simtime.Time) {
 	g.merged = g.merged[:0]
 	for i := range g.outbox {
@@ -385,44 +386,21 @@ func (g *ShardGroup) mergeOutboxes(bound simtime.Time) {
 // nextLiveAt peeks the timestamp of the earliest live event, reaping
 // cancelled heap tops on the way. Forever when the heap is empty.
 func (k *Kernel) nextLiveAt() simtime.Time {
-	for len(k.queue) > 0 {
-		top := k.queue[0].it
-		if !top.live() {
-			k.recycle(k.pop())
-			k.cancelled--
-			continue
-		}
-		return top.at
+	if !k.peek() {
+		return simtime.Forever
 	}
-	return simtime.Forever
+	return k.queue[0].at
 }
 
 // runWindow fires this kernel's events up to bound — strictly before it
 // normally, inclusively for the deadline's final window. The clock is
 // left at the last fired event; the group advances it at barriers.
 func (k *Kernel) runWindow(bound simtime.Time, inclusive bool) {
-	for {
-		var next *item
-		for len(k.queue) > 0 {
-			top := k.queue[0].it
-			if !top.live() {
-				k.recycle(k.pop())
-				k.cancelled--
-				continue
-			}
-			next = top
-			break
-		}
-		if next == nil {
+	for k.peek() {
+		at := k.queue[0].at
+		if at > bound || at == bound && !inclusive {
 			return
 		}
-		if inclusive {
-			if next.at > bound {
-				return
-			}
-		} else if next.at >= bound {
-			return
-		}
-		k.fire(k.pop())
+		k.fire()
 	}
 }

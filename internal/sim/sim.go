@@ -12,11 +12,15 @@
 // reproducible from its seed alone.
 //
 // The scheduler is built for event rate: a hand-inlined 4-ary heap over a
-// flat slice of entries carrying their ordering key inline (no interface
-// boxing, no container/heap), with a free-list that recycles items so
-// steady-state scheduling performs zero allocations. Because the order is
-// total, heap shape never leaks into fire order — replacing the heap
-// arity or layout cannot change a simulation's results.
+// flat slice of 16-byte slots, each holding an event's timestamp and its
+// item (no interface boxing, no container/heap), with a free-list that
+// recycles items so steady-state scheduling performs zero allocations.
+// Most comparisons read only the slot's timestamp; the rest of the key
+// lives in the item. A fired event's slot is refilled by the first event
+// its callback schedules, so the common fire-then-schedule step costs one
+// sift instead of a pop and a push. Because the order is total, heap
+// shape never leaks into fire order — replacing the heap arity or layout
+// cannot change a simulation's results.
 package sim
 
 import (
@@ -40,12 +44,13 @@ type ArgEvent func(arg any)
 // item is one scheduled event. Items are owned by the kernel's free-list:
 // a fired or cancelled item is recycled, and gen is bumped on every
 // recycle so stale Handles can never cancel the item's next occupant.
+// The event's timestamp lives in its heap slot, not here.
 type item struct {
-	at simtime.Time
 	// schedAt is the scheduling context's clock when the event was
 	// created; lane disambiguates same-instant schedules from distinct
-	// physical sources (link sides). Together with seq they form the
-	// partition-independent fire order — see before().
+	// physical sources (link sides). Together with seq they break
+	// timestamp ties in the partition-independent fire order — see
+	// before().
 	schedAt simtime.Time
 	lane    uint64
 	seq     uint64
@@ -87,7 +92,7 @@ func (h Handle) Cancel() bool {
 	h.item.clear() // lazily deleted when popped
 	if h.k != nil {
 		h.k.cancelled++
-		if h.k.cancelled > len(h.k.queue)/2 {
+		if h.k.cancelled > h.k.queued()/2 {
 			h.k.reap()
 		}
 	}
@@ -107,6 +112,7 @@ type Kernel struct {
 	now       simtime.Time
 	seq       uint64
 	queue     []heapEnt // 4-ary min-heap ordered by (at, band, schedAt, lane, seq)
+	vacant    bool      // queue[0] is the firing event's slot, awaiting its pop
 	free      []*item   // recycled items; steady-state At/After allocate nothing
 	cancelled int       // items in queue already cleared (lazily deleted)
 	seed      int64
@@ -188,7 +194,8 @@ func (k *Kernel) ScheduleOnLane(dst *Kernel, at simtime.Time, lane uint64, fn Ar
 // atKeyed schedules fn(arg) at at with an explicit (schedAt, lane)
 // ordering key — the cross-kernel insertion path, where the key must
 // reflect the scheduling context (the sender), not this kernel's clock.
-// The key is stamped before push so the heap entry carries it inline.
+// The key is stamped before push, whose comparisons read it on
+// timestamp ties.
 func (k *Kernel) atKeyed(at, schedAt simtime.Time, lane uint64, fn ArgEvent, arg any) {
 	if fn == nil {
 		panic("sim: nil event")
@@ -196,12 +203,12 @@ func (k *Kernel) atKeyed(at, schedAt simtime.Time, lane uint64, fn ArgEvent, arg
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
-	it := k.newItem(at)
+	it := k.newItem()
 	it.schedAt = schedAt
 	it.lane = lane
 	it.afn = fn
 	it.arg = arg
-	k.push(it)
+	k.push(at, it)
 }
 
 // Metrics returns the simulation's metric registry. Components register
@@ -293,16 +300,35 @@ func (k *Kernel) EventsFired() uint64 {
 }
 
 // Pending returns the number of live (non-cancelled) events currently
-// queued.
-func (k *Kernel) Pending() int { return len(k.queue) - k.cancelled }
+// queued. Inside a callback the firing event no longer counts.
+func (k *Kernel) Pending() int { return k.queued() - k.cancelled }
+
+// queued returns the number of heap slots holding a queued event, live
+// or cancelled: every slot but a vacant root.
+func (k *Kernel) queued() int {
+	if k.vacant {
+		return len(k.queue) - 1
+	}
+	return len(k.queue)
+}
 
 // ---- 4-ary heap over (at, band, schedAt, lane, seq) ----
 //
 // A 4-ary layout halves the tree depth of the binary heap: pops do more
 // comparisons per level but far fewer cache-missing levels, which is the
-// dominant cost at fabric-scale queue depths. Each heap entry carries its
-// ordering key inline so sift operations never dereference the item —
-// comparisons stay within the slice's cache lines.
+// dominant cost at fabric-scale queue depths. A slot is 16 bytes, the
+// timestamp and the item pointer, so a node's four children share one
+// 64-byte cache line. Comparisons read the item only when two timestamps
+// tie, which is a small minority of them; the rest of the key stays in
+// the item.
+//
+// Most fired events schedule a follow-up (a hop's delivery schedules the
+// next serialisation, a pacer re-arms itself), so firing does not pop.
+// While the callback runs, its slot stays at the root as a vacant hole:
+// the callback's first schedule writes the hole and sifts it down, one
+// sift where a pop followed by a push costs two. A callback that schedules
+// nothing gets the ordinary pop when it returns, and every path that reads
+// the heap fills the hole the same way first (settle).
 //
 // The total order is (at, observer band, schedAt, lane, seq). On a
 // single kernel this is indistinguishable from the historical (at, seq)
@@ -319,13 +345,11 @@ func (k *Kernel) Pending() int { return len(k.queue) - k.cancelled }
 // lane (wire) order, like a switch sweeping its ingress ports in port
 // order.
 
-// heapEnt is one heap slot: the full ordering key plus the item.
+// heapEnt is one heap slot: the event's timestamp and its item, which
+// holds the rest of the ordering key.
 type heapEnt struct {
-	at      simtime.Time
-	schedAt simtime.Time
-	lane    uint64
-	seq     uint64
-	it      *item
+	at simtime.Time
+	it *item
 }
 
 // before reports whether a must fire before b.
@@ -333,6 +357,12 @@ func before(a, b heapEnt) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
+	return tieBefore(a.it, b.it)
+}
+
+// tieBefore orders two events of the same instant by (observer band,
+// schedAt, lane, seq).
+func tieBefore(a, b *item) bool {
 	if ab, bb := a.seq&observerBand, b.seq&observerBand; ab != bb {
 		return ab < bb
 	}
@@ -345,70 +375,130 @@ func before(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
-// push appends it and restores the heap invariant.
-func (k *Kernel) push(it *item) {
-	q := append(k.queue, heapEnt{at: it.at, schedAt: it.schedAt, lane: it.lane, seq: it.seq, it: it})
-	// Sift up.
+// push queues it at at. Into a vacant root (the firing event's slot) it
+// sifts down; otherwise it is appended and sifts up.
+func (k *Kernel) push(at simtime.Time, it *item) {
+	e := heapEnt{at: at, it: it}
+	if k.vacant {
+		k.vacant = false
+		k.siftDown(0, e)
+		return
+	}
+	q := append(k.queue, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !before(q[i], q[parent]) {
+		if !before(e, q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
 	k.queue = q
 }
 
-// pop removes and returns the earliest item. Callers check emptiness.
-func (k *Kernel) pop() *item {
+// popRoot removes the root slot. Its item is the caller's to recycle.
+func (k *Kernel) popRoot() {
 	q := k.queue
-	top := q[0].it
 	n := len(q) - 1
 	last := q[n]
 	q[n] = heapEnt{}
-	q = q[:n]
-	k.queue = q
+	k.queue = q[:n]
 	if n > 0 {
-		q[0] = last
-		k.siftDown(0)
+		k.siftDown(0, last)
 	}
-	return top
 }
 
-// siftDown restores the invariant from slot i toward the leaves.
-func (k *Kernel) siftDown(i int) {
+// settle completes a deferred pop: a vacant root left by a callback that
+// has scheduled nothing yet is removed. The vacant slot's item was
+// recycled when its event fired, so it is not recycled here.
+func (k *Kernel) settle() {
+	if k.vacant {
+		k.vacant = false
+		k.popRoot()
+	}
+}
+
+// peek settles the heap, drops cancelled events from its top, and reports
+// whether queue[0] holds a live event.
+func (k *Kernel) peek() bool {
+	k.settle()
+	for len(k.queue) > 0 {
+		it := k.queue[0].it
+		if it.live() {
+			return true
+		}
+		k.cancelled-- // cancelled; lazily deleted here
+		k.recycle(it)
+		k.popRoot()
+	}
+	return false
+}
+
+// siftDown places e in the hole at slot i and restores the invariant
+// toward the leaves. A node with all four children picks the least in a
+// tournament: the two pairs compare independently, then their winners,
+// which is as many comparisons as a scan but a shorter dependency chain.
+// The tournament runs on timestamps alone and without branches, since
+// which child wins is close to a coin flip that a branch predictor keeps
+// losing; when the timestamps it compared tie, it is replayed with the
+// full key.
+func (k *Kernel) siftDown(i int, e heapEnt) {
 	q := k.queue
 	n := len(q)
-	e := q[i]
 	for {
-		first := i<<2 + 1 // leftmost child
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if before(q[c], q[best]) {
-				best = c
+		c := i<<2 + 1 // leftmost child
+		var best int
+		if c+3 < n {
+			kids := q[c : c+4 : c+4]
+			a0, a1, a2, a3 := kids[0].at, kids[1].at, kids[2].at, kids[3].at
+			w := less01(a1, a0)
+			l, lat := c+w, a0+(a1-a0)&simtime.Time(-w)
+			w = less01(a3, a2)
+			r, rat := c+2+w, a2+(a3-a2)&simtime.Time(-w)
+			best = l + (r-l)&-less01(rat, lat)
+			if a0 == a1 || a2 == a3 || lat == rat {
+				l, r = c, c+2
+				if before(kids[1], kids[0]) {
+					l = c + 1
+				}
+				if before(kids[3], kids[2]) {
+					r = c + 3
+				}
+				best = l
+				if before(q[r], q[l]) {
+					best = r
+				}
 			}
-		}
-		if !before(q[best], e) {
+		} else if c < n {
+			best = c
+			for j := c + 1; j < n; j++ {
+				if before(q[j], q[best]) {
+					best = j
+				}
+			}
+		} else {
 			break
 		}
-		q[i] = q[best]
+		b := q[best]
+		if !before(b, e) {
+			break
+		}
+		q[i] = b
 		i = best
 	}
 	q[i] = e
 }
 
+// less01 is 1 when x < y and 0 otherwise, computed without a branch:
+// timestamps are never negative, so x-y cannot overflow and its sign bit
+// is the answer.
+func less01(x, y simtime.Time) int { return int(uint64(x-y) >> 63) }
+
 // newItem takes an item from the free-list (or allocates on a cold
-// start) and stamps it.
-func (k *Kernel) newItem(at simtime.Time) *item {
+// start) and stamps its tie-break key.
+func (k *Kernel) newItem() *item {
 	var it *item
 	if n := len(k.free); n > 0 {
 		it = k.free[n-1]
@@ -417,7 +507,6 @@ func (k *Kernel) newItem(at simtime.Time) *item {
 	} else {
 		it = &item{}
 	}
-	it.at = at
 	it.schedAt = k.now
 	it.lane = 0
 	it.seq = k.seq
@@ -433,8 +522,10 @@ func (k *Kernel) recycle(it *item) {
 // reap rebuilds the heap with live events only. Called once cancelled
 // items outnumber live ones, so the amortised cost per Cancel is O(1)
 // and a cancel-heavy workload (retransmit timers that almost always get
-// cancelled) cannot hold the queue at its high-water mark.
+// cancelled) cannot hold the queue at its high-water mark. Reached from
+// Cancel, it may run inside a callback, so it settles the heap first.
 func (k *Kernel) reap() {
+	k.settle()
 	live := k.queue[:0]
 	for _, e := range k.queue {
 		if e.it.live() {
@@ -449,7 +540,7 @@ func (k *Kernel) reap() {
 	k.queue = live
 	// Heapify in place: sift down from the last internal node.
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		k.siftDown(i)
+		k.siftDown(i, live[i])
 	}
 	k.cancelled = 0
 }
@@ -459,8 +550,8 @@ func (k *Kernel) schedule(at simtime.Time) *item {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
-	it := k.newItem(at)
-	k.push(it)
+	it := k.newItem()
+	k.push(at, it)
 	return it
 }
 
@@ -486,9 +577,9 @@ func (k *Kernel) AtObserve(at simtime.Time, fn Event) Handle {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
-	it := k.newItem(at)
+	it := k.newItem()
 	it.seq |= observerBand
-	k.push(it)
+	k.push(at, it)
 	it.fn = fn
 	return Handle{item: it, gen: it.gen, k: k}
 }
@@ -546,34 +637,34 @@ func (k *Kernel) AfterArg(d simtime.Duration, fn ArgEvent, arg any) Handle {
 // Halt stops the run loop after the currently executing event returns.
 func (k *Kernel) Halt() { k.halted = true }
 
-// fire executes a popped live item.
-func (k *Kernel) fire(it *item) {
-	k.now = it.at
+// fire executes the live event at the root. Its slot stays as a vacant
+// root until the callback's first schedule fills it, or is popped when
+// the callback returns having scheduled nothing.
+func (k *Kernel) fire() {
+	e := k.queue[0]
+	it := e.it
+	k.now = e.at
 	fn, afn, arg := it.fn, it.afn, it.arg
 	it.clear()
 	k.recycle(it) // safe: everything needed is extracted
 	k.fired++
+	k.vacant = true
 	if fn != nil {
 		fn()
 	} else {
 		afn(arg)
 	}
+	k.settle()
 }
 
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		it := k.pop()
-		if !it.live() {
-			k.cancelled-- // cancelled; lazily deleted here
-			k.recycle(it)
-			continue
-		}
-		k.fire(it)
-		return true
+	if !k.peek() {
+		return false
 	}
-	return false
+	k.fire()
+	return true
 }
 
 // RunUntil fires events until the queue drains, the deadline passes, or
@@ -588,25 +679,13 @@ func (k *Kernel) RunUntil(deadline simtime.Time) {
 	}
 	k.halted = false
 	for !k.halted {
-		// Peek for the next live event.
-		var next *item
-		for len(k.queue) > 0 {
-			top := k.queue[0].it
-			if !top.live() {
-				k.recycle(k.pop())
-				k.cancelled--
-				continue
-			}
-			next = top
-			break
-		}
-		if next == nil || next.at > deadline {
+		if !k.peek() || k.queue[0].at > deadline {
 			if k.now < deadline && deadline != simtime.Forever {
 				k.now = deadline
 			}
 			return
 		}
-		k.fire(k.pop())
+		k.fire()
 	}
 }
 

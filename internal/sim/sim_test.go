@@ -459,3 +459,83 @@ func TestKernelTelemetryWired(t *testing.T) {
 		t.Fatal("registry round-trip failed")
 	}
 }
+
+// TestReapInsideCallbackBeforeSchedule: a callback whose cancels cross
+// the reap threshold before it schedules anything reaps while its own
+// slot is still queued, waiting for its first schedule. Every survivor
+// must fire once, in order, and every item handed out afterwards must
+// be distinct: the firing event's item, recycled as it fired, must not
+// be recycled a second time.
+func TestReapInsideCallbackBeforeSchedule(t *testing.T) {
+	const n = 40
+	k := NewKernel(1)
+	var got []int
+	handles := make([]Handle, n)
+	for i := 0; i < n; i++ {
+		i := i
+		handles[i] = k.At(simtime.Time(10+i), func() { got = append(got, i) })
+	}
+	k.At(1, func() {
+		// 21 of the 40 queued events cancelled: the 21st crosses
+		// cancelled > queued/2 and reaps.
+		for i := 0; i < n; i += 2 {
+			handles[i].Cancel()
+		}
+		handles[1].Cancel()
+		if len(k.queue) != n-21 || k.Pending() != n-21 {
+			t.Fatalf("after the reap: %d slots, Pending() = %d, want %d and %d", len(k.queue), k.Pending(), n-21, n-21)
+		}
+		seen := make(map[*item]bool)
+		for j := 0; j < 2*n; j++ {
+			j := j
+			h := k.At(simtime.Time(100+j), func() { got = append(got, 1000+j) })
+			if seen[h.item] {
+				t.Fatalf("schedule %d after the reap reused an item already queued", j)
+			}
+			seen[h.item] = true
+		}
+	})
+	k.Run()
+	var want []int
+	for i := 3; i < n; i += 2 {
+		want = append(want, i)
+	}
+	for j := 0; j < 2*n; j++ {
+		want = append(want, 1000+j)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v\nwant  %v", got, want)
+	}
+}
+
+// TestPendingInsideCallback: the firing event stops counting as pending
+// when its callback starts, whether or not the callback has scheduled
+// anything yet.
+func TestPendingInsideCallback(t *testing.T) {
+	k := NewKernel(1)
+	k.At(5, func() {})
+	var seen []int
+	k.At(1, func() {
+		seen = append(seen, k.Pending())
+		k.At(2, func() { seen = append(seen, k.Pending()) })
+		seen = append(seen, k.Pending())
+		k.At(3, func() {})
+		seen = append(seen, k.Pending())
+	})
+	k.Run()
+	if want := []int{1, 2, 3, 2}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("Pending() inside callbacks = %v, want %v", seen, want)
+	}
+}
+
+// TestEventAtForeverFires: simtime.Forever is a legal timestamp, not an
+// empty-queue marker; Run fires an event scheduled there.
+func TestEventAtForeverFires(t *testing.T) {
+	k := NewKernel(1)
+	fired := false
+	k.At(simtime.Forever, func() { fired = true })
+	k.Run()
+	if !fired || k.Now() != simtime.Forever {
+		t.Fatalf("event at Forever: fired=%v, clock %v", fired, k.Now())
+	}
+}
