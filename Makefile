@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test test-race vet audit chaos transports health rollout tenants bench bench-json report examples clean
+.PHONY: all check build test test-race vet fuzz audit chaos transports health rollout tenants bench bench-json report examples clean
 
 all: build vet test
 
@@ -103,6 +103,16 @@ tenants:
 	cmp tenants-scorecard.json /tmp/roce-tenants-2.json
 	cmp tenants-scorecard.json cmd/roce-tenants/testdata/golden.json
 	$(GO) run ./cmd/roce-tenants
+
+# Fuzz each reference-model target for 15 s. Plain `go test` replays
+# only the seed corpora under testdata/fuzz/; this explores past them.
+# A failing input is written to its target's testdata/fuzz/ directory;
+# check it in there once fixed, so `go test` replays it from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMMU$$' -fuzztime 15s ./internal/buffer
+	$(GO) test -run '^$$' -fuzz '^FuzzRateArithmetic$$' -fuzztime 15s ./internal/simtime
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteTable$$' -fuzztime 15s ./internal/fabric
 
 # Runtime invariant audit alone: deadlock, storm, alpha incident and
 # livelock with the lossless/DCQCN auditor attached; exits nonzero on

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
@@ -45,7 +46,12 @@ func main() {
 		cfg.Pairs = *pairs
 		cfg.Duration = simtime.FromStd(*duration)
 		cfg.Shards = *shards
-		fmt.Print(experiments.RunPingmeshSweep(cfg).Table())
+		r, err := experiments.RunPingmeshSweep(cfg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "roce-pingmesh:", err)
+			os.Exit(1)
+		}
+		fmt.Print(r.Table())
 		return
 	}
 

@@ -72,7 +72,10 @@ func BenchmarkParallelPingmesh20K(b *testing.B) {
 			var secs float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := RunPingmeshSweep(benchSweepCfg(n))
+				r, err := RunPingmeshSweep(benchSweepCfg(n))
+				if err != nil {
+					b.Fatal(err)
+				}
 				events += r.EventsFired
 				secs += r.RunSeconds
 			}

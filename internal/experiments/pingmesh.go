@@ -89,8 +89,10 @@ func (r PingmeshSweepResult) Table() string {
 	return out
 }
 
-// RunPingmeshSweep builds the fleet and probes the sampled mesh.
-func RunPingmeshSweep(cfg PingmeshSweepConfig) PingmeshSweepResult {
+// RunPingmeshSweep builds the fleet and probes the sampled mesh. It
+// fails if the fleet cannot be built, for instance because the podset
+// count is past the topology's addressing limit.
+func RunPingmeshSweep(cfg PingmeshSweepConfig) (PingmeshSweepResult, error) {
 	k := sim.NewRoot(cfg.Seed, cfg.Shards)
 	// The paper's podset (Fig7Spec cabling and rates), replicated out to
 	// fleet width.
@@ -100,7 +102,7 @@ func RunPingmeshSweep(cfg PingmeshSweepConfig) PingmeshSweepResult {
 	spec.TorsPerPod = cfg.TorsPerPod
 	d, err := core.New(k, core.DefaultConfig(spec))
 	if err != nil {
-		panic(err)
+		return PingmeshSweepResult{}, err
 	}
 	net := d.Net
 
@@ -153,7 +155,7 @@ func RunPingmeshSweep(cfg PingmeshSweepConfig) PingmeshSweepResult {
 		r.P99us[s] = quantUS(h, 0.99)
 		r.Failures[s] = pm.Failures[s]
 	}
-	return r
+	return r, nil
 }
 
 // quantUS reads a picosecond histogram quantile in microseconds.

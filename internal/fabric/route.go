@@ -47,27 +47,59 @@ func routeKey(bits int, prefix uint32) uint64 { return uint64(bits)<<32 | uint64
 
 // routeTable is a longest-prefix-match table with an exact-match index
 // on (length, prefix). The index doubles as the hot-path /24 probe: Clos
-// tables hold one /24 per destination ToR, so most lookups are a single
-// map probe; shorter prefixes (podset /16s, the default) fall back to a
-// linear scan over a handful of entries.
+// tables hold one /24 per destination ToR, so most lookups are one map
+// probe, or two on a table with a base; shorter prefixes (podset /16s,
+// the default) fall back to a linear scan over a handful of entries.
 //
 // Adds append in O(1); the table is ordered and its index rebuilt once,
 // on the first read after a batch of adds. One stable sort of the
 // insertion-ordered slice yields exactly the order that sorting after
 // every insert would, so forwarding and ECMP do not depend on batching.
 //
-// A fleet switch holds hundreds of routes over a handful of distinct
-// ECMP groups, added in runs that share one group (a ToR's /24 per
-// remote ToR all go out its uplinks). add copies a port set only when
-// it differs from the previous route's, so a run costs one copy.
+// A fleet table holds hundreds of routes over a handful of distinct
+// ECMP groups, added in runs that share one group (a ToR base's /24 per
+// ToR all go out the uplinks). add copies a port set only when it
+// differs from the previous route's, so a run costs one copy.
+//
+// Most of those routes are the same on every switch of a role, so a
+// table may sit on a base (see RouteBase) and hold only what differs:
+// its own routes shadow the base's routes with the same key.
 type routeTable struct {
-	routes  []Route        // sorted by Bits descending once settled
-	index   map[uint64]int // routeKey → position in routes
-	maxBits int
-	dirty   bool  // routes appended since the last settle
-	last    []int // the most recent table-owned port set
-	scratch []int // reused by ResetRoutes/PruneRoutes to build live groups
+	routes    []Route        // sorted by Bits descending once settled
+	index     map[uint64]int // routeKey → position in routes
+	maxBits   int
+	shortFrom int        // position of the first route shorter than /24, once settled
+	dirty     bool       // routes appended since the last settle
+	last      []int      // the most recent table-owned port set
+	scratch   []int      // reused by ResetRoutes/PruneRoutes to build live groups
+	base      *RouteBase // shared routes beneath this table's own, or nil
 }
+
+// RouteBase is a settled route table that many switches share beneath
+// their own routes: in a Clos fleet every ToR (or leaf, or spine)
+// numbers its ports alike and routes every remote ToR the same way, so
+// one base per role replaces a private copy per switch and route state
+// grows linearly with the fleet instead of with its square.
+//
+// A base is complete and settled when NewRouteBase returns, and nothing
+// writes to it afterwards: switches on different shards read it at
+// once, and a switch whose reconvergence would change one of its routes
+// copies them into its own table first.
+type RouteBase struct{ t routeTable }
+
+// NewRouteBase builds a base from its complete route list, with the
+// same replacement and port-set rules as Switch.AddRoute.
+func NewRouteBase(rs []Route) *RouteBase {
+	b := new(RouteBase)
+	for _, r := range rs {
+		b.t.add(r)
+	}
+	b.t.settle()
+	return b
+}
+
+// Len returns the number of routes the base holds.
+func (b *RouteBase) Len() int { return len(b.t.routes) }
 
 // add inserts a route, replacing any route with the same length and
 // prefix. Host bits beyond the length are cleared first, so 10.0.1.7/24
@@ -112,28 +144,93 @@ func (t *routeTable) settle() {
 		return
 	}
 	slices.SortStableFunc(t.routes, func(a, b Route) int { return b.Bits - a.Bits })
+	t.shortFrom = len(t.routes)
 	for i := range t.routes {
 		t.index[routeKey(t.routes[i].Bits, t.routes[i].Prefix.Uint32())] = i
+		if t.routes[i].Bits < 24 {
+			t.shortFrom = min(t.shortFrom, i)
+		}
 	}
 	t.dirty = false
 }
 
-// lookup returns the longest-prefix-match route for a, or nil.
+// lookup returns the longest-prefix-match route for a, or nil. The
+// table's own match and its base's are both longest matches, and the
+// longer one wins; on equal lengths they have the same key, and the
+// table's own route shadows the base's. A route from the base is
+// read-only.
 func (t *routeTable) lookup(a packet.Addr) *Route {
 	t.settle()
+	r := t.match(a)
+	if t.base == nil || r != nil && r.Bits >= t.base.t.maxBits {
+		return r
+	}
+	if br := t.base.t.match(a); br != nil && (r == nil || br.Bits > r.Bits) {
+		return br
+	}
+	return r
+}
+
+// match returns the longest-prefix match among the table's own routes,
+// which must be settled.
+func (t *routeTable) match(a packet.Addr) *Route {
+	from := 0
 	// A /24 hit is the longest possible match while no longer prefixes
-	// are configured (Clos tables never hold any).
+	// are configured (Clos tables never hold any), and a miss rules out
+	// every /24, so the scan starts past them.
 	if t.maxBits <= 24 {
 		if i, ok := t.index[routeKey(24, a.Uint32()&prefixMask(24))]; ok {
 			return &t.routes[i]
 		}
+		from = t.shortFrom
 	}
-	for i := range t.routes {
+	for i := from; i < len(t.routes); i++ {
 		if t.routes[i].matches(a) {
 			return &t.routes[i]
 		}
 	}
 	return nil
+}
+
+// diverges reports whether edit holds for any non-local base route that
+// none of the table's own routes shadows: whether a reset or prune
+// would change a route the table still reads from its base.
+func (t *routeTable) diverges(edit func(r *Route) bool) bool {
+	if t.base == nil {
+		return false
+	}
+	for i := range t.base.t.routes {
+		r := &t.base.t.routes[i]
+		if r.Local {
+			continue
+		}
+		if _, shadowed := t.index[routeKey(r.Bits, r.Prefix.Uint32())]; !shadowed && edit(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// unshare copies the base's unshadowed routes into the table and drops
+// the base, leaving the same routes a table built without a base would
+// hold. The copies share the base's port arrays, which nothing writes.
+func (t *routeTable) unshare() {
+	b := &t.base.t
+	t.base = nil
+	if t.index == nil {
+		t.index = make(map[uint64]int, len(b.routes))
+	}
+	for _, r := range b.routes {
+		k := routeKey(r.Bits, r.Prefix.Uint32())
+		if _, shadowed := t.index[k]; shadowed {
+			continue
+		}
+		t.index[k] = len(t.routes)
+		t.routes = append(t.routes, r)
+	}
+	t.maxBits = max(t.maxBits, b.maxBits)
+	t.dirty = true
+	t.settle()
 }
 
 // setLive installs live (a scratch slice) as the route's ECMP group,
@@ -154,10 +251,16 @@ func (r *Route) setLive(live []int) {
 // ResetRoutes rebuilds every non-local route's live ECMP group from its
 // static configuration, keeping only ports for which portUp returns
 // true. The control plane calls this as the first step of reconvergence
-// after a carrier change.
+// after a carrier change. A switch whose routes from its base keep
+// every port keeps sharing the base; otherwise it copies the base first.
 func (s *Switch) ResetRoutes(portUp func(port int) bool) {
 	t := &s.routes
 	t.settle()
+	if t.diverges(func(r *Route) bool {
+		return slices.ContainsFunc(r.static, func(p int) bool { return !portUp(p) })
+	}) {
+		t.unshare()
+	}
 	for i := range t.routes {
 		r := &t.routes[i]
 		if r.Local {
@@ -177,10 +280,17 @@ func (s *Switch) ResetRoutes(portUp func(port int) bool) {
 // PruneRoutes removes from every non-local route the ports the usable
 // predicate rejects (typically: next hops that no longer have a path to
 // the prefix). It reports whether anything changed, so a fixpoint
-// iteration knows when withdrawal has propagated fully.
+// iteration knows when withdrawal has propagated fully. As in
+// ResetRoutes, the switch copies its base only if a route it reads from
+// the base would lose a port.
 func (s *Switch) PruneRoutes(usable func(prefix packet.Addr, bits, port int) bool) bool {
 	t := &s.routes
 	t.settle()
+	if t.diverges(func(r *Route) bool {
+		return slices.ContainsFunc(r.Ports, func(p int) bool { return !usable(r.Prefix, r.Bits, p) })
+	}) {
+		t.unshare()
+	}
 	changed := false
 	for i := range t.routes {
 		r := &t.routes[i]
@@ -213,6 +323,29 @@ func (s *Switch) RouteUsable(dst packet.Addr) bool {
 	}
 	r := s.routes.lookup(dst)
 	return r != nil && (r.Local || len(r.Ports) > 0)
+}
+
+// SetRouteBase puts b beneath the switch's own routes: b's routes
+// forward as the switch's own unless AddRoute installs one with the same
+// length and prefix, which shadows it. Reconvergence copies b into the
+// switch's own table the first time it would change one of b's routes.
+func (s *Switch) SetRouteBase(b *RouteBase) { s.routes.base = b }
+
+// RouteState reports how the switch holds its routes: the base it still
+// shares (nil without one, or once reconvergence copied it) and the
+// number of routes in its own table.
+func (s *Switch) RouteState() (base *RouteBase, own int) {
+	return s.routes.base, len(s.routes.routes)
+}
+
+// LookupRoute returns a copy of the switch's longest-prefix-match route
+// for dst. Its Ports is the live ECMP group and is shared with the
+// table: read it, do not modify it.
+func (s *Switch) LookupRoute(dst packet.Addr) (Route, bool) {
+	if r := s.routes.lookup(dst); r != nil {
+		return *r, true
+	}
+	return Route{}, false
 }
 
 // PortLink returns the cable attached to a port (nil if unattached),

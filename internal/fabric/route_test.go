@@ -142,8 +142,9 @@ func TestRouteTableMatchesInsertAndSort(t *testing.T) {
 	}
 }
 
-// fleetToRRoutes returns the table a ToR of a 35-podset × 24-ToR fleet
-// holds: its local /24, the default, and a /24 per other ToR, 841 in all.
+// fleetToRRoutes returns the routes a ToR of a 35-podset × 24-ToR fleet
+// forwards by, as one private table: its local /24, the default, and a
+// /24 per other ToR, 841 in all.
 func fleetToRRoutes() []Route {
 	uplinks := []int{24, 25, 26, 27}
 	rs := []Route{{Prefix: packet.IPv4Addr(10, 0, 0, 0), Bits: 24, Local: true},

@@ -19,7 +19,9 @@ import (
 )
 
 // Spec describes a Clos fabric. Spines may be zero for two-tier
-// (ToR-Leaf) topologies.
+// (ToR-Leaf) topologies. Addresses give Podsets, TorsPerPod and
+// LeafsPerPod one byte each, so each is at most 256, and ServersPerTor
+// is at most 255.
 type Spec struct {
 	Name          string
 	Podsets       int
@@ -208,6 +210,22 @@ func Build(k *sim.Kernel, spec Spec) (*Network, error) {
 	if spec.Podsets <= 0 || spec.TorsPerPod <= 0 || spec.ServersPerTor <= 0 {
 		return nil, fmt.Errorf("topology: empty spec")
 	}
+	// Addresses and MACs give the podset, ToR and leaf indexes one byte
+	// each, and a server's host number (its index plus one) one byte:
+	// past these limits devices would wrap onto each other's addresses.
+	for _, lim := range []struct {
+		what     string
+		n, limit int
+	}{
+		{"podsets", spec.Podsets, 256},
+		{"ToRs per podset", spec.TorsPerPod, 256},
+		{"leafs per podset", spec.LeafsPerPod, 256},
+		{"servers per ToR", spec.ServersPerTor, 255},
+	} {
+		if lim.n > lim.limit {
+			return nil, fmt.Errorf("topology: %d %s exceeds the addressing limit of %d", lim.n, lim.what, lim.limit)
+		}
+	}
 	if spec.Spines > 0 && (spec.LeafsPerPod == 0 || spec.Spines%spec.LeafsPerPod != 0) {
 		return nil, fmt.Errorf("topology: %d spines not divisible by %d leafs", spec.Spines, spec.LeafsPerPod)
 	}
@@ -324,12 +342,72 @@ func Build(k *sim.Kernel, spec Spec) (*Network, error) {
 		}
 	}
 
+	// Route bases: every switch of a role numbers its ports alike, so the
+	// routes they share live once per role, in a fabric.RouteBase each
+	// reads through, and a switch adds only what differs (a ToR its local
+	// /24, a leaf its own podset's ToRs).
+	//
+	// ToRs: a default route with ECMP over all the ToR's leafs (absent on
+	// a single-rack topology), plus a /24 per ToR with the same ECMP
+	// group. Forwarding is identical — same ports, same hash — but the
+	// per-destination entries are what the control plane withdraws next
+	// hops from when a path dies (a default route could only be
+	// withdrawn for all destinations at once). A ToR's own local /24
+	// shadows its entry.
+	//
+	// Leafs: a default route with ECMP over the leaf's spines, plus
+	// withdrawable /24s per ToR; a leaf's single-port routes down to its
+	// own podset's ToRs shadow theirs.
+	//
+	// Spines: each podset's /16 down to its leaf, with withdrawable
+	// per-ToR /24s on top: if the leaf loses one ToR, the spine must
+	// withdraw only that ToR's prefix, not the podset.
+	defaultAndTors := func(ports []int) []fabric.Route {
+		rs := []fabric.Route{{Prefix: packet.Addr{}, Bits: 0, Ports: ports}}
+		for p := 0; p < spec.Podsets; p++ {
+			for t := 0; t < spec.TorsPerPod; t++ {
+				rs = append(rs, fabric.Route{Prefix: torSubnet(p, t), Bits: 24, Ports: ports})
+			}
+		}
+		return rs
+	}
+	if spec.LeafsPerPod > 0 {
+		uplinks := make([]int, spec.LeafsPerPod)
+		for lf := range uplinks {
+			uplinks[lf] = spec.ServersPerTor + lf
+		}
+		base := fabric.NewRouteBase(defaultAndTors(uplinks))
+		for _, tor := range n.Tors {
+			tor.SetRouteBase(base)
+		}
+	}
+	if spec.Spines > 0 {
+		spinePorts := make([]int, spec.Spines/spec.LeafsPerPod)
+		for u := range spinePorts {
+			spinePorts[u] = spec.TorsPerPod + u
+		}
+		base := fabric.NewRouteBase(defaultAndTors(spinePorts))
+		for _, leaf := range n.Leafs {
+			leaf.SetRouteBase(base)
+		}
+		var rs []fabric.Route
+		for p := 0; p < spec.Podsets; p++ {
+			down := []int{p}
+			rs = append(rs, fabric.Route{Prefix: packet.IPv4Addr(10, byte(p), 0, 0), Bits: 16, Ports: down})
+			for t := 0; t < spec.TorsPerPod; t++ {
+				rs = append(rs, fabric.Route{Prefix: torSubnet(p, t), Bits: 24, Ports: down})
+			}
+		}
+		base = fabric.NewRouteBase(rs)
+		for _, spine := range n.Spines {
+			spine.SetRouteBase(base)
+		}
+	}
+
 	// ToR–Leaf wiring and intra-podset routing.
 	for p := 0; p < spec.Podsets; p++ {
-		var uplinks []int
 		for t := 0; t < spec.TorsPerPod; t++ {
 			tor := n.Tor(p, t)
-			uplinks = uplinks[:0]
 			for lf := 0; lf < spec.LeafsPerPod; lf++ {
 				leaf := n.Leafs[p*spec.LeafsPerPod+lf]
 				torPort := spec.ServersPerTor + lf
@@ -339,39 +417,18 @@ func Build(k *sim.Kernel, spec Spec) (*Network, error) {
 				leaf.AttachLink(leafPort, l, 1, tor.MAC(), false)
 				crossCheck(l)
 				n.Links = append(n.Links, LinkRec{A: tor.Name(), APort: torPort, B: leaf.Name(), BPort: leafPort, L: l})
-				uplinks = append(uplinks, torPort)
 				// Leaf routes down to this ToR's subnet.
 				leaf.AddRoute(fabric.Route{Prefix: torSubnet(p, t), Bits: 24, Ports: []int{leafPort}})
-			}
-			// ToR default route: ECMP over all its leafs (absent on a
-			// single-rack topology), plus a /24 per remote ToR with the
-			// same ECMP group. Forwarding is identical — same ports, same
-			// hash — but the per-destination entries are what the control
-			// plane withdraws next hops from when a path dies (a default
-			// route could only be withdrawn for all destinations at once).
-			// The routes are added in one run, so the table keeps a single
-			// copy of the group (AddRoute copies; uplinks is reused).
-			if len(uplinks) > 0 {
-				tor.AddRoute(fabric.Route{Prefix: packet.Addr{}, Bits: 0, Ports: uplinks})
-				for p2 := 0; p2 < spec.Podsets; p2++ {
-					for t2 := 0; t2 < spec.TorsPerPod; t2++ {
-						if p2 == p && t2 == t {
-							continue
-						}
-						tor.AddRoute(fabric.Route{Prefix: torSubnet(p2, t2), Bits: 24, Ports: uplinks})
-					}
-				}
 			}
 		}
 	}
 
-	// Leaf–Spine wiring and inter-podset routing.
+	// Leaf–Spine wiring.
 	if spec.Spines > 0 {
 		perLeaf := spec.Spines / spec.LeafsPerPod
 		for p := 0; p < spec.Podsets; p++ {
 			for lf := 0; lf < spec.LeafsPerPod; lf++ {
 				leaf := n.Leafs[p*spec.LeafsPerPod+lf]
-				var spinePorts []int
 				for u := 0; u < perLeaf; u++ {
 					spIdx := lf*perLeaf + u
 					spine := n.Spines[spIdx]
@@ -382,32 +439,7 @@ func Build(k *sim.Kernel, spec Spec) (*Network, error) {
 					spine.AttachLink(spinePort, l, 1, leaf.MAC(), false)
 					crossCheck(l)
 					n.Links = append(n.Links, LinkRec{A: leaf.Name(), APort: leafPort, B: spine.Name(), BPort: spinePort, L: l})
-					spinePorts = append(spinePorts, leafPort)
 					n.LeafSpineLinks = append(n.LeafSpineLinks, l)
-					// Spine routes each podset's /16 down to its leaf, with
-					// withdrawable per-ToR /24s on top: if the leaf loses one
-					// ToR, the spine must withdraw only that ToR's prefix,
-					// not the podset.
-					spine.AddRoute(fabric.Route{
-						Prefix: packet.IPv4Addr(10, byte(p), 0, 0), Bits: 16,
-						Ports: []int{spinePort},
-					})
-					for t2 := 0; t2 < spec.TorsPerPod; t2++ {
-						spine.AddRoute(fabric.Route{Prefix: torSubnet(p, t2), Bits: 24,
-							Ports: []int{spinePort}})
-					}
-				}
-				// Leaf default route: ECMP over its spines, plus
-				// withdrawable /24s per remote-podset ToR (local-podset
-				// ToRs already have their specific single-port routes).
-				leaf.AddRoute(fabric.Route{Prefix: packet.Addr{}, Bits: 0, Ports: spinePorts})
-				for p2 := 0; p2 < spec.Podsets; p2++ {
-					if p2 == p {
-						continue
-					}
-					for t2 := 0; t2 < spec.TorsPerPod; t2++ {
-						leaf.AddRoute(fabric.Route{Prefix: torSubnet(p2, t2), Bits: 24, Ports: spinePorts})
-					}
 				}
 			}
 		}

@@ -1,8 +1,13 @@
 package topology
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"rocesim/internal/fabric"
+	"rocesim/internal/packet"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/transport"
@@ -119,6 +124,30 @@ func TestInvalidSpecs(t *testing.T) {
 	if _, err := Build(k, bad); err == nil {
 		t.Fatal("indivisible spine count accepted")
 	}
+	// Addresses give podset, ToR and leaf indexes one byte each and the
+	// server host number one byte: one past each limit must be refused,
+	// naming the limit, rather than wrap onto other devices' addresses.
+	for _, c := range []struct {
+		name  string
+		limit int
+		set   func(s *Spec, n int)
+	}{
+		{"podsets", 256, func(s *Spec, n int) { s.Podsets = n }},
+		{"ToRs per podset", 256, func(s *Spec, n int) { s.TorsPerPod = n }},
+		{"leafs per podset", 256, func(s *Spec, n int) { s.LeafsPerPod = n }},
+		{"servers per ToR", 255, func(s *Spec, n int) { s.ServersPerTor = n }},
+	} {
+		spec := Spec{Podsets: 1, TorsPerPod: 1, ServersPerTor: 1}
+		c.set(&spec, c.limit)
+		if _, err := Build(sim.NewKernel(5), spec); err != nil {
+			t.Fatalf("%d %s refused: %v", c.limit, c.name, err)
+		}
+		c.set(&spec, c.limit+1)
+		_, err := Build(sim.NewKernel(5), spec)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%s exceeds the addressing limit of %d", c.name, c.limit)) {
+			t.Fatalf("%d %s: error %v, want one naming the limit of %d", c.limit+1, c.name, err, c.limit)
+		}
+	}
 }
 
 func TestServerAddressing(t *testing.T) {
@@ -204,5 +233,90 @@ func TestBDPBytes(t *testing.T) {
 	z.ServerCableM = 0
 	if got := z.BDPBytes(frame); got < 2*frame {
 		t.Fatalf("floor violated: %d", got)
+	}
+}
+
+// TestFleetRoutesShared builds Fig 7 fleets of 2 and 6 podsets, one
+// server per ToR. Every switch of a role must read its routes through
+// the role's single base and hold only what differs: its local /24 on a
+// ToR, its podset's ToR /24s on a leaf, nothing on a spine. The route
+// entries held, own routes plus each distinct base once, must then grow
+// linearly in ToRs. After one leaf–spine cable goes down and Reconverge
+// runs, a switch must have copied its base exactly when its live groups
+// changed: here every change is to a route that came from a base.
+func TestFleetRoutesShared(t *testing.T) {
+	entriesPerTor := map[int]float64{}
+	for _, podsets := range []int{2, 6} {
+		spec := Fig7Spec(1)
+		spec.Podsets = podsets
+		n, err := Build(sim.NewKernel(7), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := 0
+		for _, role := range []struct {
+			name string
+			sws  []*fabric.Switch
+			own  int
+		}{{"tor", n.Tors, 1}, {"leaf", n.Leafs, spec.TorsPerPod}, {"spine", n.Spines, 0}} {
+			base, _ := role.sws[0].RouteState()
+			if base == nil {
+				t.Fatalf("%d podsets: %s %s has no route base", podsets, role.name, role.sws[0].Name())
+			}
+			entries += base.Len()
+			for _, sw := range role.sws {
+				b, own := sw.RouteState()
+				if b != base || own != role.own {
+					t.Fatalf("%d podsets: %s holds %d own routes over base %p, want %d over the %s base %p",
+						podsets, sw.Name(), own, b, role.own, role.name, base)
+				}
+				entries += own
+			}
+		}
+		entriesPerTor[podsets] = float64(entries) / float64(len(n.Tors))
+
+		// Destinations covering every route: each ToR's /24, and per
+		// podset an address in no ToR's /24 (a spine's /16, otherwise the
+		// default).
+		var dsts []packet.Addr
+		for p := 0; p < podsets; p++ {
+			for tr := 0; tr < spec.TorsPerPod; tr++ {
+				dsts = append(dsts, serverIP(p, tr, 0))
+			}
+			dsts = append(dsts, packet.IPv4Addr(10, byte(p), 200, 1))
+		}
+		groups := func() map[string][][]int {
+			out := map[string][][]int{}
+			for _, sw := range n.Switches() {
+				for _, d := range dsts {
+					r, _ := sw.LookupRoute(d)
+					out[sw.Name()] = append(out[sw.Name()], slices.Clone(r.Ports))
+				}
+			}
+			return out
+		}
+		before := groups()
+		n.LeafSpineLinks[5].SetDown(true)
+		n.Reconverge()
+		after := groups()
+		changed := 0
+		for _, sw := range n.Switches() {
+			moved := !slices.EqualFunc(before[sw.Name()], after[sw.Name()], slices.Equal[[]int])
+			if b, _ := sw.RouteState(); (b == nil) != moved {
+				t.Fatalf("%d podsets: %s live groups changed=%v, but base copied=%v", podsets, sw.Name(), moved, b == nil)
+			}
+			if moved {
+				changed++
+			}
+		}
+		// The leaf and spine at the cable's ends, and the same-numbered
+		// leaf of every other podset, which withdraws that spine for the
+		// cut-off podset's ToRs.
+		if changed != podsets+1 {
+			t.Fatalf("%d podsets: %d switches changed live groups, want %d", podsets, changed, podsets+1)
+		}
+	}
+	if entriesPerTor[6] > entriesPerTor[2] {
+		t.Fatalf("route entries per ToR grew from %.2f at 2 podsets to %.2f at 6", entriesPerTor[2], entriesPerTor[6])
 	}
 }
