@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRateArithmetic$$' -fuzztime 15s ./internal/simtime
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteTable$$' -fuzztime 15s ./internal/fabric
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistry$$' -fuzztime 15s ./internal/telemetry
 
 # Runtime invariant audit alone: deadlock, storm, alpha incident and
 # livelock with the lossless/DCQCN auditor attached; exits nonzero on

@@ -26,13 +26,23 @@ type Metrics struct {
 	CNPsGenerated *telemetry.Counter
 }
 
-// RegisterMetrics registers the per-device DCQCN rate-event counters.
+// metricNames names the Metrics counters, in field order.
+var metricNames = []telemetry.Metric{
+	{Suffix: "/dcqcn_rate_cuts"},
+	{Suffix: "/dcqcn_cnps_rx"},
+	{Suffix: "/dcqcn_ce_arrivals"},
+	{Suffix: "/dcqcn_cnps_generated"},
+}
+
+// RegisterMetrics registers the per-device DCQCN rate-event counters, as
+// one block.
 func RegisterMetrics(r *telemetry.Registry, device string) *Metrics {
+	c := r.Counters(device, metricNames)
 	return &Metrics{
-		RateCuts:      r.Counter(device + "/dcqcn_rate_cuts"),
-		CNPsReceived:  r.Counter(device + "/dcqcn_cnps_rx"),
-		CEArrivals:    r.Counter(device + "/dcqcn_ce_arrivals"),
-		CNPsGenerated: r.Counter(device + "/dcqcn_cnps_generated"),
+		RateCuts:      &c[0],
+		CNPsReceived:  &c[1],
+		CEArrivals:    &c[2],
+		CNPsGenerated: &c[3],
 	}
 }
 

@@ -194,31 +194,62 @@ type Counters struct {
 	WatchdogReenables  *telemetry.Counter
 }
 
-// newCounters registers the switch-level counters. The metric names
+// counterMetrics names the Counters fields, in field order. The names
 // deliberately match the collector's historical series names
 // ("<device>/pause_rx", "<device>/lossless_drops", ...), so suffix-based
 // aggregation keeps working across the registry migration.
+var counterMetrics = []telemetry.Metric{
+	{Suffix: "/rx_frames"},
+	{Suffix: "/tx_frames"},
+	{Suffix: "/drops"},
+	{Suffix: "/lossless_drops"},
+	{Suffix: "/ttl_drops"},
+	{Suffix: "/no_route_drops"},
+	{Suffix: "/mac_mismatch_drops"},
+	{Suffix: "/arp_incomplete_drops"},
+	{Suffix: "/arp_miss_drops"},
+	{Suffix: "/watchdog_drops"},
+	{Suffix: "/down_drops"},
+	{Suffix: "/injected_drops"},
+	{Suffix: "/ecn_marked"},
+	{Suffix: "/floods"},
+	{Suffix: "/pause_rx"},
+	{Suffix: "/pause_tx"},
+	{Suffix: "/watchdog_trips"},
+	{Suffix: "/watchdog_reenables"},
+}
+
+// newCounters registers the switch-level counters, as one block.
 func newCounters(r *telemetry.Registry, name string) Counters {
+	c := r.Counters(name, counterMetrics)
 	return Counters{
-		RxFrames:           r.Counter(name + "/rx_frames"),
-		TxFrames:           r.Counter(name + "/tx_frames"),
-		IngressDrops:       r.Counter(name + "/drops"),
-		LosslessDrops:      r.Counter(name + "/lossless_drops"),
-		TTLDrops:           r.Counter(name + "/ttl_drops"),
-		NoRouteDrops:       r.Counter(name + "/no_route_drops"),
-		MACMismatchDrops:   r.Counter(name + "/mac_mismatch_drops"),
-		ARPIncompleteDrops: r.Counter(name + "/arp_incomplete_drops"),
-		ARPMissDrops:       r.Counter(name + "/arp_miss_drops"),
-		WatchdogDrops:      r.Counter(name + "/watchdog_drops"),
-		DownDrops:          r.Counter(name + "/down_drops"),
-		InjectedDrops:      r.Counter(name + "/injected_drops"),
-		ECNMarked:          r.Counter(name + "/ecn_marked"),
-		Floods:             r.Counter(name + "/floods"),
-		PauseRx:            r.Counter(name + "/pause_rx"),
-		PauseTx:            r.Counter(name + "/pause_tx"),
-		WatchdogTrips:      r.Counter(name + "/watchdog_trips"),
-		WatchdogReenables:  r.Counter(name + "/watchdog_reenables"),
+		RxFrames:           &c[0],
+		TxFrames:           &c[1],
+		IngressDrops:       &c[2],
+		LosslessDrops:      &c[3],
+		TTLDrops:           &c[4],
+		NoRouteDrops:       &c[5],
+		MACMismatchDrops:   &c[6],
+		ARPIncompleteDrops: &c[7],
+		ARPMissDrops:       &c[8],
+		WatchdogDrops:      &c[9],
+		DownDrops:          &c[10],
+		InjectedDrops:      &c[11],
+		ECNMarked:          &c[12],
+		Floods:             &c[13],
+		PauseRx:            &c[14],
+		PauseTx:            &c[15],
+		WatchdogTrips:      &c[16],
+		WatchdogReenables:  &c[17],
 	}
+}
+
+// portMetrics names a port's labeled counters: RxFrames, RxPause and
+// TxPause.
+var portMetrics = []telemetry.Metric{
+	{Suffix: "/rx_frames"},
+	{Suffix: "/pause_rx"},
+	{Suffix: "/pause_tx"},
 }
 
 // Switch is one shared-buffer switch.
@@ -328,14 +359,13 @@ func (s *Switch) AttachLink(n int, l *link.Link, side int, peerMAC packet.MAC, s
 	ps.pauser.Pool = s.k.PacketPool()
 	ps.wdTrip = pfc.NewWatchdog(s.cfg.Watchdog.TripWindow)
 	reg := s.k.Metrics()
-	port := telemetry.L("port", n)
-	ps.RxFrames = reg.Counter(s.cfg.Name+"/rx_frames", port)
-	ps.RxPause = reg.Counter(s.cfg.Name+"/pause_rx", port)
-	ps.TxPause = reg.Counter(s.cfg.Name+"/pause_tx", port)
+	port := []telemetry.Label{telemetry.L("port", n)} // kept by both blocks
+	c := reg.Counters(s.cfg.Name, portMetrics, port...)
+	ps.RxFrames, ps.RxPause, ps.TxPause = &c[0], &c[1], &c[2]
 	// The watchdog replaces the egress PauseState when it trips, so the
 	// pause-time gauges read through a getter rather than a pointer.
 	pfc.RegisterMetrics(reg, s.cfg.Name, func() *pfc.PauseState { return ps.egress.Pause },
-		ps.pauser, s.losslessMask(), port)
+		ps.pauser, s.losslessMask(), port...)
 	l.Attach(side, s, n)
 }
 

@@ -1,12 +1,14 @@
 package health
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/stats"
+	"rocesim/internal/telemetry"
 	"rocesim/internal/topology"
 )
 
@@ -160,6 +162,39 @@ func TestScraperFilter(t *testing.T) {
 	}
 	if _, ok := sc.Series["tor-0/pause_rx"]; !ok {
 		t.Fatal("selected key not scraped")
+	}
+}
+
+// TestScraperLateMetric: a metric registered after scraping began joins
+// at the next round, after the series already seen, and a counter
+// already scraped keeps its deltas across the re-listing.
+func TestScraperLateMetric(t *testing.T) {
+	k := sim.NewKernel(8)
+	ctr := k.Metrics().Counter("tor-1/pause_rx")
+	var late *telemetry.Counter
+	sc := NewScraper(k, ScrapeConfig{Interval: 10 * simtime.Millisecond})
+	sc.Start()
+	k.At(simtime.Time(5*simtime.Millisecond), func() { ctr.Add(4) })
+	k.At(simtime.Time(15*simtime.Millisecond), func() {
+		late = k.Metrics().Counter("tor-0/pause_rx")
+		late.Add(2)
+		ctr.Add(1)
+	})
+	k.At(simtime.Time(25*simtime.Millisecond), func() { late.Add(5) })
+	k.RunUntil(simtime.Time(30 * simtime.Millisecond))
+	if want := []string{"tor-1/pause_rx", "tor-0/pause_rx"}; !slices.Equal(sc.Keys, want) {
+		t.Fatalf("keys = %q, want %q", sc.Keys, want)
+	}
+	for key, want := range map[string][]float64{
+		"tor-1/pause_rx": {4, 1, 0},
+		"tor-0/pause_rx": {2, 5},
+	} {
+		s := sc.Series[key]
+		for i, w := range want {
+			if got := s.raw.at(i).Sum; got != w {
+				t.Fatalf("%s delta[%d] = %g, want %g", key, i, got, w)
+			}
+		}
 	}
 }
 

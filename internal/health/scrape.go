@@ -1,6 +1,8 @@
 package health
 
 import (
+	"strings"
+
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/telemetry"
@@ -34,6 +36,15 @@ type probeEntry struct {
 	fn   func() float64
 }
 
+// scraped is one registry metric the scraper samples: a counter or gauge
+// the filter selected, read through a Reader.
+type scraped struct {
+	ts      *TieredSeries
+	rd      telemetry.Reader
+	counter bool
+	last    float64 // a counter's value at the previous scrape
+}
+
 // Scraper samples the kernel's telemetry registry on a fixed cadence
 // into TieredSeries — counters as per-interval deltas, gauges as spot
 // values — plus any directly-wired probes (queue watermarks read
@@ -41,6 +52,10 @@ type probeEntry struct {
 // scrape time T every normal event of T has already fired, and the
 // scrape itself can never reorder component events, so adding or
 // removing the health plane does not change a simulation's outcome.
+//
+// A round reads the selected metrics through registry Readers. The
+// registry is snapshotted, and the filter run over its keys, only on the
+// first round and when the registry has grown since.
 type Scraper struct {
 	k   *sim.Kernel
 	cfg ScrapeConfig
@@ -54,7 +69,8 @@ type Scraper struct {
 	// Scrapes counts completed scrape rounds.
 	Scrapes uint64
 
-	last     map[string]float64
+	metrics  []scraped // in key order
+	resolved int       // the registry's Len when metrics were listed; -1 before
 	probes   []probeEntry
 	onScrape []func(now simtime.Time)
 	started  bool
@@ -78,8 +94,8 @@ func NewScraper(k *sim.Kernel, cfg ScrapeConfig) *Scraper {
 	}
 	return &Scraper{
 		k: k, cfg: cfg,
-		Series: make(map[string]*TieredSeries),
-		last:   make(map[string]float64),
+		Series:   make(map[string]*TieredSeries),
+		resolved: -1,
 	}
 }
 
@@ -110,9 +126,12 @@ func (s *Scraper) Start() {
 	s.k.AfterObserve(s.cfg.Interval, s.scrape)
 }
 
+// series returns name's series, creating it on first use. The name is
+// cloned: a key sliced from a snapshot would keep every key alive.
 func (s *Scraper) series(name string) *TieredSeries {
 	ts, ok := s.Series[name]
 	if !ok {
+		name = strings.Clone(name)
 		ts = NewTieredSeries(name, s.cfg.RawCap, s.cfg.MidCap, s.cfg.CoarseCap)
 		s.Series[name] = ts
 		s.Keys = append(s.Keys, name)
@@ -120,25 +139,47 @@ func (s *Scraper) series(name string) *TieredSeries {
 	return ts
 }
 
+// resolve lists the counters and gauges the filter selects, in key
+// order, each with its series and a Reader. It runs on the first scrape
+// and again only when the registry has grown: a snapshot renders every
+// key of the registry, and the filter may keep a few of them.
+func (s *Scraper) resolve(reg *telemetry.Registry) {
+	last := make(map[*TieredSeries]float64, len(s.metrics))
+	for _, m := range s.metrics {
+		last[m.ts] = m.last
+	}
+	s.metrics = s.metrics[:0]
+	for _, e := range reg.Snapshot().Entries {
+		// Histograms and sketches are cumulative distributions;
+		// windowed objectives read them directly (see LatencyOver).
+		if e.Kind != telemetry.KindCounter && e.Kind != telemetry.KindGauge ||
+			s.cfg.Filter != nil && !s.cfg.Filter(e.Key) {
+			continue
+		}
+		rd, _ := reg.Reader(e.Key)
+		ts := s.series(e.Key)
+		s.metrics = append(s.metrics, scraped{ts: ts, rd: rd, counter: e.Kind == telemetry.KindCounter, last: last[ts]})
+	}
+	s.resolved = reg.Len()
+}
+
 func (s *Scraper) scrape() {
 	s.k.AfterObserve(s.cfg.Interval, s.scrape)
 	now := s.k.Now()
-	snap := s.k.Metrics().Snapshot()
-	for _, e := range snap.Entries {
-		if s.cfg.Filter != nil && !s.cfg.Filter(e.Key) {
+	if reg := s.k.Metrics(); reg.Len() != s.resolved {
+		s.resolve(reg)
+	}
+	for i := range s.metrics {
+		m := &s.metrics[i]
+		v := m.rd.Value()
+		if !m.counter {
+			m.ts.Record(now, v)
 			continue
 		}
-		switch e.Kind {
-		case telemetry.KindCounter:
-			// Counters become per-interval delta series — the "pause
-			// frames received in the last interval" shape of Figures 9/10.
-			s.series(e.Key).Record(now, e.Value-s.last[e.Key])
-			s.last[e.Key] = e.Value
-		case telemetry.KindGauge:
-			s.series(e.Key).Record(now, e.Value)
-		}
-		// Histograms and sketches are cumulative distributions; windowed
-		// objectives read them directly (see LatencyOver).
+		// Counters become per-interval delta series — the "pause frames
+		// received in the last interval" shape of Figures 9/10.
+		m.ts.Record(now, v-m.last)
+		m.last = v
 	}
 	for _, p := range s.probes {
 		s.series(p.name).Record(now, p.fn())

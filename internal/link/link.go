@@ -274,20 +274,14 @@ func (f *fifo) purge() []Item {
 // Egress is one transmit direction of a device port: eight per-priority
 // FIFO queues drained by deficit round robin, gated per priority by
 // received PFC state, plus an absolute-priority control queue for pause
-// frames.
+// frames. The queues and the scheduler state live in a block allocated
+// on first use, so an egress that never sends stays small.
 type Egress struct {
 	k    *sim.Kernel
 	link *Link
 	side int
 
-	queues  [8]fifo
-	bytes   [8]int
-	control fifo // pause frames; never PFC-gated
-
-	weights [8]int
-	deficit [8]int
-	rrNext  int
-	cur     int // queue currently holding the DRR service turn (-1: none)
+	q *queueBlock // nil until the first Enqueue, EnqueueControl or SetWeight
 
 	// Pause is the PFC state received from the peer, gating transmission
 	// per priority.
@@ -312,16 +306,36 @@ type Egress struct {
 	TxByPri [8]uint64
 }
 
+// queueBlock is an egress's transmit backlog and DWRR scheduler state.
+type queueBlock struct {
+	data    [8]fifo
+	bytes   [8]int
+	control fifo // pause frames; never PFC-gated
+
+	weights [8]int
+	deficit [8]int
+	rrNext  int
+	cur     int // queue currently holding the DRR service turn (-1: none)
+}
+
 // NewEgress creates an egress transmitting on side of l with equal DWRR
 // weights.
 func NewEgress(k *sim.Kernel, l *Link, side int) *Egress {
-	e := &Egress{k: k, link: l, side: side, Pause: pfc.NewPauseState(l.Rate()), cur: -1}
+	e := &Egress{k: k, link: l, side: side, Pause: pfc.NewPauseState(l.Rate())}
 	e.txDone = e.finishTx
 	e.kickEv = e.kick
-	for i := range e.weights {
-		e.weights[i] = 1
-	}
 	return e
+}
+
+// queues returns the egress's queue block, allocating it on first use.
+func (e *Egress) queues() *queueBlock {
+	if e.q == nil {
+		e.q = &queueBlock{cur: -1}
+		for i := range e.q.weights {
+			e.q.weights[i] = 1
+		}
+	}
+	return e.q
 }
 
 // SetWeight sets the DWRR weight for a priority (>=1). Heavier classes
@@ -331,35 +345,56 @@ func (e *Egress) SetWeight(pri, w int) {
 	if w < 1 {
 		panic("link: DWRR weight must be >= 1")
 	}
-	e.weights[pri] = w
+	e.queues().weights[pri] = w
 }
 
 // QueueBytes returns the bytes queued at priority pri.
-func (e *Egress) QueueBytes(pri int) int { return e.bytes[pri] }
+func (e *Egress) QueueBytes(pri int) int {
+	if e.q == nil {
+		return 0
+	}
+	return e.q.bytes[pri]
+}
 
 // TotalQueued returns all queued data bytes.
 func (e *Egress) TotalQueued() int {
+	if e.q == nil {
+		return 0
+	}
 	t := 0
-	for _, b := range e.bytes {
+	for _, b := range e.q.bytes {
 		t += b
 	}
 	return t
 }
 
 // QueueLen returns the number of frames queued at priority pri.
-func (e *Egress) QueueLen(pri int) int { return e.queues[pri].len() }
+func (e *Egress) QueueLen(pri int) int {
+	if e.q == nil {
+		return 0
+	}
+	return e.q.data[pri].len()
+}
 
 // Items returns a snapshot of the queued items at priority pri (shared
 // backing array; callers must not mutate). Used by the deadlock detector
 // to trace buffer dependencies.
-func (e *Egress) Items(pri int) []Item { return e.queues[pri].live() }
+func (e *Egress) Items(pri int) []Item {
+	if e.q == nil {
+		return nil
+	}
+	return e.q.data[pri].live()
+}
 
 // Purge removes and returns every queued frame at priority pri — used by
 // the switch watchdog when it discards lossless traffic for a tripped
 // port.
 func (e *Egress) Purge(pri int) []Item {
-	items := e.queues[pri].purge()
-	e.bytes[pri] = 0
+	if e.q == nil {
+		return nil
+	}
+	items := e.q.data[pri].purge()
+	e.q.bytes[pri] = 0
 	return items
 }
 
@@ -369,15 +404,16 @@ func (e *Egress) Enqueue(it Item) {
 		panic(fmt.Sprintf("link: priority %d", it.Pri))
 	}
 	it.Enq = e.k.Now()
-	e.queues[it.Pri].push(it)
-	e.bytes[it.Pri] += it.P.WireLen()
+	q := e.queues()
+	q.data[it.Pri].push(it)
+	q.bytes[it.Pri] += it.P.WireLen()
 	e.kick()
 }
 
 // EnqueueControl queues a pause frame; control frames preempt all data
 // and ignore PFC state.
 func (e *Egress) EnqueueControl(p *packet.Packet) {
-	e.control.push(Item{P: p, Pri: -1, IngressPort: -1, PG: -1, Enq: e.k.Now()})
+	e.queues().control.push(Item{P: p, Pri: -1, IngressPort: -1, PG: -1, Enq: e.k.Now()})
 	e.kick()
 }
 
@@ -396,16 +432,18 @@ func (e *Egress) kick() {
 	e.trySend()
 }
 
-// trySend transmits the next eligible frame, if any.
+// trySend transmits the next eligible frame, if any. An egress without
+// a queue block has nothing to send.
 func (e *Egress) trySend() {
-	if e.busy {
+	q := e.q
+	if e.busy || q == nil {
 		return
 	}
 	now := e.k.Now()
 
 	// Control frames first: pause must get out even when we are paused.
-	if e.control.len() > 0 {
-		e.transmit(e.control.pop())
+	if q.control.len() > 0 {
+		e.transmit(q.control.pop())
 		return
 	}
 	if e.Blocked {
@@ -413,13 +451,13 @@ func (e *Egress) trySend() {
 	}
 
 	// DWRR over non-empty, non-paused priorities.
-	pri := e.pickDWRR(now)
+	pri := e.pickDWRR(q, now)
 	if pri < 0 {
-		e.armRetry(now)
+		e.armRetry(q, now)
 		return
 	}
-	it := e.queues[pri].pop()
-	e.bytes[pri] -= it.P.WireLen()
+	it := q.data[pri].pop()
+	q.bytes[pri] -= it.P.WireLen()
 	e.transmit(it)
 }
 
@@ -428,14 +466,14 @@ func (e *Egress) trySend() {
 // quantum (scaled by its weight), and keeps the turn until its deficit
 // can no longer cover its head frame. Returns -1 when nothing is
 // eligible.
-func (e *Egress) pickDWRR(now simtime.Time) int {
+func (e *Egress) pickDWRR(q *queueBlock, now simtime.Time) int {
 	const quantumPerWeight = 1600 // covers one MTU frame per weight unit
 	for visits := 0; visits < 64; visits++ {
-		if e.cur < 0 {
+		if q.cur < 0 {
 			found := -1
 			for i := 0; i < 8; i++ {
-				pri := (e.rrNext + i) % 8
-				if e.queues[pri].len() > 0 && !e.Pause.Paused(now, pri) {
+				pri := (q.rrNext + i) % 8
+				if q.data[pri].len() > 0 && !e.Pause.Paused(now, pri) {
 					found = pri
 					break
 				}
@@ -443,31 +481,31 @@ func (e *Egress) pickDWRR(now simtime.Time) int {
 			if found < 0 {
 				return -1
 			}
-			e.cur = found
-			e.rrNext = (found + 1) % 8
-			e.deficit[found] += quantumPerWeight * e.weights[found]
+			q.cur = found
+			q.rrNext = (found + 1) % 8
+			q.deficit[found] += quantumPerWeight * q.weights[found]
 		}
-		pri := e.cur
-		if e.queues[pri].len() > 0 && !e.Pause.Paused(now, pri) {
-			if head := e.queues[pri].front().P.WireLen(); e.deficit[pri] >= head {
-				e.deficit[pri] -= head
+		pri := q.cur
+		if q.data[pri].len() > 0 && !e.Pause.Paused(now, pri) {
+			if head := q.data[pri].front().P.WireLen(); q.deficit[pri] >= head {
+				q.deficit[pri] -= head
 				return pri
 			}
 		}
-		if e.queues[pri].len() == 0 {
-			e.deficit[pri] = 0 // idle classes must not hoard credit
+		if q.data[pri].len() == 0 {
+			q.deficit[pri] = 0 // idle classes must not hoard credit
 		}
-		e.cur = -1
+		q.cur = -1
 	}
 	return -1
 }
 
 // armRetry schedules a wake-up at the earliest pause expiry among paused,
 // non-empty priorities (explicit XON kicks arrive via Kick).
-func (e *Egress) armRetry(now simtime.Time) {
+func (e *Egress) armRetry(q *queueBlock, now simtime.Time) {
 	var earliest simtime.Time = simtime.Forever
 	for pri := 0; pri < 8; pri++ {
-		if e.queues[pri].len() == 0 {
+		if q.data[pri].len() == 0 {
 			continue
 		}
 		if at := e.Pause.ResumeAt(pri); at.After(now) && at.Before(earliest) {

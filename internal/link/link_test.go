@@ -3,6 +3,7 @@ package link
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rocesim/internal/packet"
 	"rocesim/internal/sim"
@@ -395,5 +396,37 @@ func TestFCSErrorInjection(t *testing.T) {
 	frac := float64(lost) / n
 	if frac < 0.2 || frac > 0.3 {
 		t.Fatalf("loss fraction %.3f, want ~0.25", frac)
+	}
+}
+
+// TestIdleEgress pins the footprint of an egress that never sends: the
+// queues and DWRR state stay unallocated, and kicking it schedules
+// nothing. The first Enqueue, EnqueueControl or SetWeight allocates
+// them.
+func TestIdleEgress(t *testing.T) {
+	if n := unsafe.Sizeof(Egress{}); n > 256 {
+		t.Fatalf("Egress is %d bytes, want <= 256", n)
+	}
+	k := sim.NewKernel(1)
+	l := New(k, 40*simtime.Gbps, simtime.Microsecond)
+	l.Attach(1, &sink{}, 0)
+	e := NewEgress(k, l, 0)
+	e.Kick()
+	if e.q != nil || k.Pending() != 0 {
+		t.Fatalf("idle kick: queue block %v, %d events pending", e.q != nil, k.Pending())
+	}
+	if e.QueueLen(3) != 0 || e.QueueBytes(3) != 0 || e.TotalQueued() != 0 || e.Items(3) != nil || e.Purge(3) != nil || e.q != nil {
+		t.Fatal("idle egress accessors must answer without allocating the queue block")
+	}
+	for name, first := range map[string]func(e *Egress){
+		"Enqueue":        func(e *Egress) { e.Enqueue(Item{P: dataPacket(3, 100), Pri: 3}) },
+		"EnqueueControl": func(e *Egress) { e.EnqueueControl(dataPacket(0, 46)) },
+		"SetWeight":      func(e *Egress) { e.SetWeight(3, 2) },
+	} {
+		e := NewEgress(k, l, 0)
+		first(e)
+		if e.q == nil {
+			t.Fatalf("%s did not allocate the queue block", name)
+		}
 	}
 }

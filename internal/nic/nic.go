@@ -100,20 +100,36 @@ type Stats struct {
 	PipelineStalls *telemetry.Counter // receive-pipeline stalls (all causes)
 }
 
-// newStats registers the NIC counter set for one device.
+// statsMetrics names the Stats counters, in field order.
+var statsMetrics = []telemetry.Metric{
+	{Suffix: "/rx_frames"},
+	{Suffix: "/rx_bytes"},
+	{Suffix: "/tx_frames"},
+	{Suffix: "/pause_rx"},
+	{Suffix: "/pause_tx"},
+	{Suffix: "/mac_mismatch_drops"},
+	{Suffix: "/rx_overflow_drops"},
+	{Suffix: "/unknown_qp_drops"},
+	{Suffix: "/watchdog_trips"},
+	{Suffix: "/mtt_misses"},
+	{Suffix: "/pipeline_stalls"},
+}
+
+// newStats registers the NIC counter set for one device, as one block.
 func newStats(r *telemetry.Registry, name string) Stats {
+	c := r.Counters(name, statsMetrics)
 	return Stats{
-		RxFrames:       r.Counter(name + "/rx_frames"),
-		RxBytes:        r.Counter(name + "/rx_bytes"),
-		TxFrames:       r.Counter(name + "/tx_frames"),
-		RxPause:        r.Counter(name + "/pause_rx"),
-		TxPause:        r.Counter(name + "/pause_tx"),
-		MACMismatch:    r.Counter(name + "/mac_mismatch_drops"),
-		RxOverflow:     r.Counter(name + "/rx_overflow_drops"),
-		UnknownQP:      r.Counter(name + "/unknown_qp_drops"),
-		WatchdogTrips:  r.Counter(name + "/watchdog_trips"),
-		MTTMisses:      r.Counter(name + "/mtt_misses"),
-		PipelineStalls: r.Counter(name + "/pipeline_stalls"),
+		RxFrames:       &c[0],
+		RxBytes:        &c[1],
+		TxFrames:       &c[2],
+		RxPause:        &c[3],
+		TxPause:        &c[4],
+		MACMismatch:    &c[5],
+		RxOverflow:     &c[6],
+		UnknownQP:      &c[7],
+		WatchdogTrips:  &c[8],
+		MTTMisses:      &c[9],
+		PipelineStalls: &c[10],
 	}
 }
 

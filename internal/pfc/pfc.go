@@ -12,33 +12,46 @@ import (
 	"rocesim/internal/telemetry"
 )
 
-// RegisterMetrics publishes one port's PFC state into the registry:
-// accumulated pause wall time per lossless priority (the paper argues
-// pause duration is a better congestion signal than frame counts) and
-// the currently engaged pause mask of the generator. The pause state is
-// read through a getter because watchdogs replace the PauseState object
-// when they trip; a captured pointer would go stale.
+// metricNames names the PFC gauges: member pri is priority pri's pause
+// time, member engagedMember the generator's engaged mask.
+var metricNames = []telemetry.Metric{
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "0"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "1"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "2"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "3"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "4"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "5"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "6"}}},
+	{Suffix: "/pause_time_ps", Labels: []telemetry.Label{{K: "pri", V: "7"}}},
+	{Suffix: "/pause_engaged"},
+}
+
+const engagedMember = 8
+
+// RegisterMetrics publishes one port's PFC state into the registry, as
+// one gauge block: accumulated pause wall time per lossless priority
+// (the paper argues pause duration is a better congestion signal than
+// frame counts) and the currently engaged pause mask of the generator.
+// The pause state is read through a getter because watchdogs replace the
+// PauseState object when they trip; a captured pointer would go stale.
 func RegisterMetrics(r *telemetry.Registry, device string, state func() *PauseState,
 	gen *Refresher, losslessMask uint8, labels ...telemetry.Label) {
 	if r == nil {
 		return
 	}
-	for pri := 0; pri < 8; pri++ {
-		if losslessMask&(1<<uint(pri)) == 0 {
-			continue
-		}
-		pri := pri
-		ls := append(append([]telemetry.Label(nil), labels...), telemetry.L("pri", pri))
-		r.Gauge(device+"/pause_time_ps", func() float64 {
-			if s := state(); s != nil {
-				return float64(s.TotalPaused[pri])
-			}
-			return 0
-		}, ls...)
-	}
+	members := uint64(losslessMask)
 	if gen != nil {
-		r.Gauge(device+"/pause_engaged", func() float64 { return float64(gen.Engaged()) }, labels...)
+		members |= 1 << engagedMember
 	}
+	r.Gauges(device, metricNames, members, func(i int) float64 {
+		if i == engagedMember {
+			return float64(gen.Engaged())
+		}
+		if s := state(); s != nil {
+			return float64(s.TotalPaused[i])
+		}
+		return 0
+	}, labels...)
 }
 
 // PauseState tracks, per priority, until when a received PFC frame forbids

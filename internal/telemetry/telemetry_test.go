@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -105,10 +107,10 @@ func TestReaderMatchesSnapshot(t *testing.T) {
 
 func TestLabelKeysCanonical(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("tor-0/pause_tx", L("pri", 3), L("port", 1))
+	r.Counter("tor-0/pause_tx", L("pri", 3), L("port", 1)).Add(7)
 	want := "tor-0/pause_tx{port=1,pri=3}" // labels sorted by key
-	if c.Key() != want {
-		t.Fatalf("key = %q, want %q", c.Key(), want)
+	if es := r.Snapshot().Entries; len(es) != 1 || es[0].Key != want || es[0].Value != 7 {
+		t.Fatalf("entries = %+v, want one %q = 7", es, want)
 	}
 }
 
@@ -128,8 +130,8 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("ignored")
 	c.Inc() // no-op, no panic
 	c.Add(3)
-	if c.Value() != 0 || c.Key() != "" {
-		t.Fatalf("nil counter leaked state: %d %q", c.Value(), c.Key())
+	if c.Value() != 0 {
+		t.Fatalf("nil counter leaked state: %d", c.Value())
 	}
 	r.Gauge("ignored", func() float64 { return 1 })
 	if h := r.Histogram("ignored"); h == nil {
@@ -384,5 +386,90 @@ func BenchmarkCounterInc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
+	}
+}
+
+// TestTextMatchesFmt pins Snapshot.Text to the fmt.Fprintf renderer it
+// replaced, over counters near 2^64, gauges at the floats whose shortest
+// form is easiest to get wrong, and empty and filled histograms and
+// sketches.
+func TestTextMatchesFmt(t *testing.T) {
+	r := NewRegistry()
+	for i, v := range []uint64{0, 1, 1<<53 + 1, 1 << 63, math.MaxUint64 - 1024, math.MaxUint64 - 1, math.MaxUint64} {
+		r.Counter("c", L("i", i)).Add(v)
+	}
+	gauges := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, -5e-324,
+		1e21, 1e20, 999999, 1e6, 1<<53 + 1, 0.1, 1e-4, 1e-5, 123456.789, -2.5, math.MaxFloat64, math.SmallestNonzeroFloat64 * 3}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		gauges = append(gauges, math.Float64frombits(rng.Uint64()), rng.NormFloat64()*1e12)
+	}
+	for i, v := range gauges {
+		v := v
+		r.Gauge("g", func() float64 { return v }, L("i", i))
+	}
+	r.Histogram("h/empty")
+	r.Sketch("s/empty")
+	h, sk := r.Histogram("h/filled"), r.Sketch("s/filled")
+	for i := 1; i <= 1000; i++ {
+		h.Observe(float64(i) * 1.37e3)
+		sk.Observe(float64(i*i) / 7)
+	}
+	s := r.Snapshot()
+	if got, want := s.Text(), fmtText(s); got != want {
+		t.Fatalf("Text differs from fmt:\n%s\nwant\n%s", got, want)
+	}
+	if got := (&Snapshot{}).Text(); got != "" {
+		t.Fatalf("empty snapshot text = %q", got)
+	}
+}
+
+// TestBlocksMatchSingles checks that a block publishes exactly what one
+// registration per member did: the same keys, values, Readers and Len,
+// and duplicate panics across both paths.
+func TestBlocksMatchSingles(t *testing.T) {
+	table := []Metric{
+		{Suffix: "/pause_time_ps", Labels: []Label{{"pri", "3"}}},
+		{Suffix: "/pause_time_ps", Labels: []Label{{"pri", "4"}}},
+		{Suffix: "/pause_engaged"},
+	}
+	counters := []Metric{{Suffix: "/rx_frames"}, {Suffix: "/pause_rx"}}
+	b, s := NewRegistry(), NewRegistry()
+	c := b.Counters("tor-0", counters, L("port", 1))
+	c[0].Add(3)
+	c[1].Add(4)
+	s.Counter("tor-0/rx_frames", L("port", 1)).Add(3)
+	s.Counter("tor-0/pause_rx", L("port", 1)).Add(4)
+	b.Gauges("tor-0", table, 0b101, func(i int) float64 { return float64(10 + i) }, L("port", 1))
+	s.Gauge("tor-0/pause_time_ps", func() float64 { return 10 }, L("port", 1), L("pri", 3))
+	s.Gauge("tor-0/pause_engaged", func() float64 { return 12 }, L("port", 1))
+	if bt, st := b.Snapshot().Text(), s.Snapshot().Text(); bt != st || b.Len() != s.Len() {
+		t.Fatalf("blocks publish\n%s(Len %d)\nsingles\n%s(Len %d)", bt, b.Len(), st, s.Len())
+	}
+	for _, e := range s.Snapshot().Entries {
+		rd, ok := b.Reader(e.Key)
+		if !ok || rd.Value() != e.Value {
+			t.Fatalf("%s: reader %v ok=%v, want %g", e.Key, rd.Value(), ok, e.Value)
+		}
+	}
+	if !b.Has("tor-0/pause_time_ps", L("pri", 3), L("port", 1)) || b.Has("tor-0/pause_time_ps", L("pri", 4), L("port", 1)) {
+		t.Fatal("Has does not follow the member set")
+	}
+	for name, register := range map[string]func(){
+		"single after block": func() { b.Counter("tor-0/pause_rx", L("port", 1)) },
+		"block after single": func() { s.Counters("tor-0", counters, L("port", 1)) },
+		"block after block":  func() { b.Gauges("tor-0", table, 0b100, func(int) float64 { return 0 }, L("port", 1)) },
+	} {
+		if msg := catch(register); !strings.Contains(msg, "telemetry: duplicate metric \"tor-0/") {
+			t.Fatalf("%s: panic %q", name, msg)
+		}
+	}
+	var nr *Registry
+	if nc := nr.Counters("x", counters); len(nc) != 2 || nr.Len() != 0 {
+		t.Fatal("nil registry must hand out an unregistered slab")
+	}
+	nr.Gauges("x", table, 1, func(int) float64 { return 0 })
+	if len(nr.Snapshot().Entries) != 0 {
+		t.Fatal("nil registry published a block")
 	}
 }

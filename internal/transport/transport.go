@@ -178,18 +178,33 @@ type Metrics struct {
 	CNPsReceived *telemetry.Counter
 }
 
-// RegisterMetrics registers the device-level transport counters.
+// metricNames names the Metrics counters, in field order.
+var metricNames = []telemetry.Metric{
+	{Suffix: "/qp_tx_packets"},
+	{Suffix: "/qp_retx_packets"},
+	{Suffix: "/qp_tx_bytes"},
+	{Suffix: "/acks_tx"},
+	{Suffix: "/naks_tx"},
+	{Suffix: "/naks_rx"},
+	{Suffix: "/qp_timeouts"},
+	{Suffix: "/cnps_tx"},
+	{Suffix: "/cnps_rx"},
+}
+
+// RegisterMetrics registers the device-level transport counters, as one
+// block.
 func RegisterMetrics(r *telemetry.Registry, device string) *Metrics {
+	c := r.Counters(device, metricNames)
 	return &Metrics{
-		PacketsSent:  r.Counter(device + "/qp_tx_packets"),
-		PacketsRetx:  r.Counter(device + "/qp_retx_packets"),
-		BytesSent:    r.Counter(device + "/qp_tx_bytes"),
-		AcksSent:     r.Counter(device + "/acks_tx"),
-		NaksSent:     r.Counter(device + "/naks_tx"),
-		NaksReceived: r.Counter(device + "/naks_rx"),
-		Timeouts:     r.Counter(device + "/qp_timeouts"),
-		CNPsSent:     r.Counter(device + "/cnps_tx"),
-		CNPsReceived: r.Counter(device + "/cnps_rx"),
+		PacketsSent:  &c[0],
+		PacketsRetx:  &c[1],
+		BytesSent:    &c[2],
+		AcksSent:     &c[3],
+		NaksSent:     &c[4],
+		NaksReceived: &c[5],
+		Timeouts:     &c[6],
+		CNPsSent:     &c[7],
+		CNPsReceived: &c[8],
 	}
 }
 
