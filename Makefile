@@ -1,6 +1,7 @@
 GO ?= go
+ROCE = $(GO) run ./cmd/roce
 
-.PHONY: all check build test test-race vet fuzz audit chaos transports health rollout tenants bench bench-json report examples clean
+.PHONY: all check build test test-race vet fuzz audit chaos transports health rollout tenants bench report examples clean
 
 all: build vet test
 
@@ -24,8 +25,8 @@ check:
 	$(GO) build ./...
 	$(GO) test ./...
 	cd bench && $(GO) test ./...
-	$(GO) run ./cmd/roce-audit
-	$(GO) run ./cmd/roce-chaos -quick
+	$(ROCE) audit
+	$(ROCE) chaos-quick
 	$(MAKE) transports
 	$(MAKE) health
 	$(MAKE) rollout
@@ -39,11 +40,11 @@ check:
 # -fail-on-breach=false because the pfc-storm scenario breaching its
 # SLOs is the expected result, not a gate failure.
 health:
-	$(GO) run ./cmd/roce-health -fail-on-breach=false > /tmp/roce-health-1.txt
-	$(GO) run ./cmd/roce-health -fail-on-breach=false > /tmp/roce-health-2.txt
+	$(ROCE) health -fail-on-breach=false > /tmp/roce-health-1.txt
+	$(ROCE) health -fail-on-breach=false > /tmp/roce-health-2.txt
 	cmp /tmp/roce-health-1.txt /tmp/roce-health-2.txt
-	$(GO) run ./cmd/roce-health -fail-on-breach=false -json > health-report.json
-	$(GO) run ./cmd/roce-health -fail-on-breach=false -json > /tmp/roce-health-2.json
+	$(ROCE) health -fail-on-breach=false -json > health-report.json
+	$(ROCE) health -fail-on-breach=false -json > /tmp/roce-health-2.json
 	cmp health-report.json /tmp/roce-health-2.json
 	@cat /tmp/roce-health-1.txt
 
@@ -52,9 +53,9 @@ health:
 # fault library across the protected, unprotected and clos fleets.
 chaos:
 ifeq ($(CAMPAIGN),full)
-	$(GO) run ./cmd/roce-chaos
+	$(ROCE) chaos
 else
-	$(GO) run ./cmd/roce-chaos -quick
+	$(ROCE) chaos-quick
 endif
 
 # Three-way transport matrix (see EXPERIMENTS.md "Lossless vs lossy"):
@@ -65,10 +66,10 @@ endif
 # otherwise). TRANSPORTS=full sweeps all four scenarios once.
 transports:
 ifeq ($(TRANSPORTS),full)
-	$(GO) run ./cmd/roce-transports
+	$(ROCE) transports
 else
-	$(GO) run ./cmd/roce-transports -quick > /tmp/roce-transports-1.txt
-	$(GO) run ./cmd/roce-transports -quick > /tmp/roce-transports-2.txt
+	$(ROCE) transports-quick > /tmp/roce-transports-1.txt
+	$(ROCE) transports-quick > /tmp/roce-transports-2.txt
 	cmp /tmp/roce-transports-1.txt /tmp/roce-transports-2.txt
 	@cat /tmp/roce-transports-1.txt
 endif
@@ -78,31 +79,31 @@ endif
 # podset → fleet wave ladder with health-gated soaks and automatic
 # rollback. The JSON scorecard is rendered twice and byte-compared (the
 # rollout plane's determinism contract), diffed against the golden copy
-# under cmd/roce-rollout/testdata/, and lands in rollout-scorecard.json
+# under internal/rollout/testdata/, and lands in rollout-scorecard.json
 # for CI to archive. The command exits nonzero if any case misses its
 # expected outcome.
 rollout:
-	$(GO) run ./cmd/roce-rollout -json > rollout-scorecard.json
-	$(GO) run ./cmd/roce-rollout -json > /tmp/roce-rollout-2.json
+	$(ROCE) rollout -json > rollout-scorecard.json
+	$(ROCE) rollout -json > /tmp/roce-rollout-2.json
 	cmp rollout-scorecard.json /tmp/roce-rollout-2.json
-	cmp rollout-scorecard.json cmd/roce-rollout/testdata/golden.json
-	$(GO) run ./cmd/roce-rollout
+	cmp rollout-scorecard.json internal/rollout/testdata/golden.json
+	$(ROCE) rollout
 
 # Multi-tenant QoS matrix (see EXPERIMENTS.md "Multi-tenant
 # isolation"): GPU collective and storage tenants solo, mixed, and
 # mixed under a mid-run shared-PG fat-finger. The JSON scorecard is
 # rendered twice and byte-compared (the tenant plane's determinism
 # contract), diffed against the golden copy under
-# cmd/roce-tenants/testdata/, and lands in tenants-scorecard.json for
+# internal/tenant/testdata/, and lands in tenants-scorecard.json for
 # CI to archive. The command exits nonzero when isolation fails under
 # the configured mix, when the misconfig is not demonstrably worse, or
 # when no safeguard catches it.
 tenants:
-	$(GO) run ./cmd/roce-tenants -json > tenants-scorecard.json
-	$(GO) run ./cmd/roce-tenants -json > /tmp/roce-tenants-2.json
+	$(ROCE) tenants -json > tenants-scorecard.json
+	$(ROCE) tenants -json > /tmp/roce-tenants-2.json
 	cmp tenants-scorecard.json /tmp/roce-tenants-2.json
-	cmp tenants-scorecard.json cmd/roce-tenants/testdata/golden.json
-	$(GO) run ./cmd/roce-tenants
+	cmp tenants-scorecard.json internal/tenant/testdata/golden.json
+	$(ROCE) tenants
 
 # Fuzz each reference-model target for 15 s. Plain `go test` replays
 # only the seed corpora under testdata/fuzz/; this explores past them.
@@ -115,11 +116,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteTable$$' -fuzztime 15s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistry$$' -fuzztime 15s ./internal/telemetry
 
-# Runtime invariant audit alone: deadlock, storm, alpha incident and
-# livelock with the lossless/DCQCN auditor attached; exits nonzero on
-# any violation.
+# Runtime invariant audit alone: the gate run of every scenario that
+# takes an observer (livelock, deadlock, storm, incident) with the
+# lossless/DCQCN auditor attached; exits nonzero on any violation.
 audit:
-	$(GO) run ./cmd/roce-audit
+	$(ROCE) audit
 
 build:
 	$(GO) build ./...
@@ -142,18 +143,11 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark output for regression tracking. Narrow the
-# scope with PKG, e.g. `make bench-json PKG=./internal/telemetry` to
-# re-record the trace-bus emission-site cost (docs/results/bench-trace.json).
-PKG ?= ./...
-bench-json:
-	@mkdir -p docs/results
-	$(GO) test -bench=. -benchmem -json $(PKG) > docs/results/bench_output.json
-
-# Consolidated reproduction report (fast experiments; add FLAGS=-all for
-# the heavyweight figures too).
+# Consolidated reproduction report (fast experiments;
+# REPORT=report-all adds the heavyweight figures too).
+REPORT ?= report
 report:
-	$(GO) run ./cmd/roce-report $(FLAGS)
+	$(ROCE) $(REPORT)
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -163,6 +157,6 @@ examples:
 	$(GO) run ./examples/verbsapi
 
 clean:
-	rm -f capture.pcap test_output.txt bench_output.txt bench_output.json
+	rm -f capture.pcap test_output.txt bench_output.txt
 	rm -f *.pprof cpu.prof mem.prof health-report.json rollout-scorecard.json
 	rm -f tenants-scorecard.json

@@ -7,41 +7,52 @@ import (
 	"rocesim/internal/sim"
 )
 
-// Audit adapts the invariant auditor to the experiments' Observe hook:
-// set an experiment config's Observe to (*Audit).Observe, run it, then
-// read the verdict. The zero value is ready to use.
+// Audit adapts the invariant auditor to the Observe hook: one auditor
+// per kernel the run builds. Set Options.Observe (or an experiment
+// config's Observe) to (*Audit).Observe, run, then read the verdict.
+// The zero value is ready to use.
 //
 //	var aud experiments.Audit
-//	cfg.Observe = aud.Observe
-//	res := experiments.RunStorm(cfg)
+//	res, err := experiments.Lookup("storm").Run(experiments.Options{Observe: aud.Observe})
 //	if n := aud.Finish(); n > 0 { ... }
 type Audit struct {
-	// Opts tunes the auditor; the zero value uses invariant defaults.
+	// Opts tunes the auditors; the zero value uses invariant defaults.
 	Opts invariant.Options
-	aud  *invariant.Auditor
+	auds []*invariant.Auditor
 }
 
-// Observe attaches the auditor to the experiment's kernel. It is the
-// function to place in an experiment config's Observe field.
-func (a *Audit) Observe(k *sim.Kernel) { a.aud = invariant.Attach(k, a.Opts) }
+// Observe attaches an auditor to the kernel.
+func (a *Audit) Observe(k *sim.Kernel) { a.auds = append(a.auds, invariant.Attach(k, a.Opts)) }
 
-// Auditor exposes the attached auditor (nil before Observe runs).
-func (a *Audit) Auditor() *invariant.Auditor { return a.aud }
+// Kernels returns how many kernels the audit attached to.
+func (a *Audit) Kernels() int { return len(a.auds) }
 
-// Finish closes the audit and returns the total violation count. Safe to
-// call when the experiment never ran Observe (returns 0).
+// Events returns the trace events the auditors checked.
+func (a *Audit) Events() uint64 {
+	var n uint64
+	for _, x := range a.auds {
+		n += x.Events()
+	}
+	return n
+}
+
+// Finish closes every auditor and returns the total violation count
+// (0 when Observe never ran).
 func (a *Audit) Finish() uint64 {
-	if a.aud == nil {
-		return 0
+	var n uint64
+	for _, x := range a.auds {
+		x.Finish()
+		n += x.Total()
 	}
-	a.aud.Finish()
-	return a.aud.Total()
+	return n
 }
 
-// Report writes the audit summary; a no-op without an attached auditor.
+// Report writes each auditor's summary in run order.
 func (a *Audit) Report(w io.Writer) error {
-	if a.aud == nil {
-		return nil
+	for _, x := range a.auds {
+		if err := x.Report(w); err != nil {
+			return err
+		}
 	}
-	return a.aud.Report(w)
+	return nil
 }

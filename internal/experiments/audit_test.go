@@ -3,75 +3,41 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"rocesim/internal/simtime"
-	"rocesim/internal/transport"
 )
 
-// The four golden scenarios, audited end to end: the invariant layer
-// must observe zero violations across deadlock, storm (watchdogs on and
-// off), the alpha incident, and livelock. These runs exercise every
-// audited family — PFC pause edges and watchdog trips, MMU admission
-// through headroom, DCQCN cuts and recovery, go-back-N retransmission —
-// so a regression in any of the guarantees turns into a named violation
-// here rather than a silently wrong figure.
-
-func runAudited(t *testing.T, name string, run func(observe *Audit)) {
-	t.Helper()
-	var aud Audit
-	run(&aud)
-	if aud.Auditor() == nil {
-		t.Fatalf("%s: experiment never invoked Observe", name)
-	}
-	if n := aud.Finish(); n > 0 {
-		var b strings.Builder
-		aud.Report(&b)
-		t.Fatalf("%s: %d invariant violation(s):\n%s", name, n, b.String())
-	}
-	if aud.Auditor().Events() == 0 {
-		t.Fatalf("%s: auditor saw no trace events — not attached?", name)
-	}
-}
-
-func TestDeadlockRunsClean(t *testing.T) {
-	for _, reroute := range []bool{false, true} {
-		runAudited(t, "deadlock", func(aud *Audit) {
-			cfg := DefaultDeadlock(reroute)
-			cfg.Observe = aud.Observe
-			RunDeadlock(cfg)
-		})
-	}
-}
-
-func TestStormRunsClean(t *testing.T) {
-	for _, wd := range []bool{false, true} {
-		runAudited(t, "storm", func(aud *Audit) {
-			cfg := DefaultStorm(wd)
-			cfg.Duration = 40 * simtime.Millisecond
-			cfg.Observe = aud.Observe
-			RunStorm(cfg)
-		})
-	}
-}
-
-func TestAlphaRunsClean(t *testing.T) {
-	for _, alpha := range []float64{1.0 / 16, 1.0 / 64} {
-		runAudited(t, "alpha", func(aud *Audit) {
-			cfg := DefaultAlpha(alpha)
-			cfg.Duration = 50 * simtime.Millisecond
-			cfg.Observe = aud.Observe
-			RunAlpha(cfg)
-		})
-	}
-}
-
-func TestLivelockRunsClean(t *testing.T) {
-	for _, rec := range []transport.Recovery{transport.GoBack0, transport.GoBackN} {
-		runAudited(t, "livelock", func(aud *Audit) {
-			cfg := DefaultLivelock(transport.OpWrite, rec)
-			cfg.Duration = 20 * simtime.Millisecond
-			cfg.Observe = aud.Observe
-			RunLivelock(cfg)
+// TestAuditGates audits every scenario that takes an observer at its
+// gate run, as `roce audit` does: the invariant layer must observe zero
+// violations. The runs exercise every audited family — PFC pause edges
+// and watchdog trips, MMU admission through headroom, DCQCN cuts and
+// recovery, go-back-N retransmission — so a regression in any of the
+// guarantees turns into a named violation here rather than a silently
+// wrong figure. Each run also carries the determinism matrix's recorders
+// and hands the matrix its rendering.
+func TestAuditGates(t *testing.T) {
+	for i := range Scenarios {
+		s := &Scenarios[i]
+		if s.Has&HasObserve == 0 || s.Gate == nil {
+			continue
+		}
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			var aud Audit
+			canonical, full, err := render(s, 1, true, &aud)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if aud.Kernels() == 0 {
+				t.Fatal("the scenario never invoked Observe")
+			}
+			if n := aud.Finish(); n > 0 {
+				var b strings.Builder
+				aud.Report(&b)
+				t.Fatalf("%d invariant violation(s):\n%s", n, b.String())
+			}
+			if aud.Events() == 0 {
+				t.Fatal("the auditors saw no trace events — not attached?")
+			}
+			remember(s, canonical, full)
 		})
 	}
 }

@@ -163,7 +163,7 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	sc := health.NewScraper(k, health.ScrapeConfig{
 		Interval: dcfg.MonitorInterval,
 		Filter: func(key string) bool {
-			return hasSuffix(key, "/pause_rx") || hasSuffix(key, "/lossless_drops")
+			return hasAnySuffix(key, "/pause_rx", "/lossless_drops")
 		},
 	})
 	for _, sw := range net.Switches() {
@@ -218,8 +218,4 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	rep.AddSketch("health/buffer_shared_bytes", bufSk)
 	rep.AddHeatmap(heat)
 	return rep, nil
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }

@@ -162,18 +162,15 @@ func RunLivelock(cfg LivelockConfig) LivelockResult {
 	}
 }
 
-// LivelockMatrix runs the full Section 4.1 grid (3 verbs × 2 recovery
-// schemes) over the given shard count and renders it. The output is
-// byte-identical for any shards value.
-func LivelockMatrix(duration simtime.Duration, shards int) string {
+// livelockMatrix runs the full Section 4.1 grid (3 verbs × 2 recovery
+// schemes) and renders it. The output is byte-identical for any shard
+// count.
+func livelockMatrix(o Options) string {
 	out := "Section 4.1 — RDMA transport livelock (drop 1/256 by IP ID)\n"
 	for _, rec := range []transport.Recovery{transport.GoBack0, transport.GoBackN} {
 		for _, verb := range []transport.OpKind{transport.OpSend, transport.OpWrite, transport.OpRead} {
 			cfg := DefaultLivelock(verb, rec)
-			if duration > 0 {
-				cfg.Duration = duration
-			}
-			cfg.Shards = shards
+			o.into(&cfg.Seed, &cfg.Shards, &cfg.Duration, &cfg.Observe)
 			out += RunLivelock(cfg).Table()
 		}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"rocesim/internal/core"
 	"rocesim/internal/monitor"
@@ -58,17 +57,6 @@ type PingmeshSweepResult struct {
 	P50us        map[monitor.ProbeScope]float64
 	P99us        map[monitor.ProbeScope]float64
 	Failures     map[monitor.ProbeScope]uint64
-	// EventsFired and RunSeconds are the parallel-scaling gate's
-	// numerator and denominator: kernel-wide event count and the wall
-	// time of the RunUntil call alone (building the 20K-server fabric
-	// is serial in every mode and excluded). Not rendered in Table:
-	// unlike every simulation result, the raw event count is NOT
-	// partition-invariant — a sharded Pingmesh leaves settled probe
-	// timeouts to fire as no-ops instead of cancelling them across
-	// kernels (see Pingmesh.probe), so sharded runs fire a handful more
-	// events than the single kernel while producing identical results.
-	EventsFired uint64
-	RunSeconds  float64
 }
 
 // Table renders the sweep summary.
@@ -133,9 +121,7 @@ func RunPingmeshSweep(cfg PingmeshSweepConfig) (PingmeshSweepResult, error) {
 		}
 	}
 	pm.Start()
-	wall := time.Now()
 	k.RunUntil(simtime.Time(cfg.Duration))
-	runSeconds := time.Since(wall).Seconds()
 	pm.Fold()
 
 	r := PingmeshSweepResult{
@@ -147,8 +133,6 @@ func RunPingmeshSweep(cfg PingmeshSweepConfig) (PingmeshSweepResult, error) {
 		P50us:        make(map[monitor.ProbeScope]float64),
 		P99us:        make(map[monitor.ProbeScope]float64),
 		Failures:     make(map[monitor.ProbeScope]uint64),
-		EventsFired:  k.EventsFired(),
-		RunSeconds:   runSeconds,
 	}
 	for s, h := range pm.RTT {
 		r.P50us[s] = quantUS(h, 0.50)

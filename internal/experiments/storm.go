@@ -23,7 +23,7 @@ type StormConfig struct {
 	// Duration of the whole run; the malfunction starts at 1/4 of it.
 	Duration simtime.Duration
 	// Observe, when set, runs right after the fabric is built and before
-	// traffic starts — the hook external tooling (cmd/roce-trace) uses
+	// traffic starts — the hook external tooling (`roce trace`) uses
 	// to attach flow tracers and flight recorders to the experiment's
 	// internal kernel.
 	Observe func(*sim.Kernel)

@@ -122,6 +122,24 @@ func (r TransportMatrixResult) Table() string {
 	return out
 }
 
+// Verdict names the cells that break the matrix's safety contract: an
+// IRN cell that emitted a pause frame (the lossy fabric leaked PFC), or
+// a cell whose victim traffic did not recover.
+func (r TransportMatrixResult) Verdict() []string {
+	var bad []string
+	for _, c := range r.Cells {
+		if c.Mode != core.TransportPFCDCQCN.String() && c.PauseTx != 0 {
+			bad = append(bad, fmt.Sprintf("%s/%s: %d pause frames on a lossy fabric",
+				c.Scenario, c.Mode, c.PauseTx))
+		}
+		if !c.Recovered {
+			bad = append(bad, fmt.Sprintf("%s/%s: victim traffic did not recover",
+				c.Scenario, c.Mode))
+		}
+	}
+	return bad
+}
+
 // RunTransportMatrix executes every scenario under every transport mode.
 func RunTransportMatrix(cfg TransportMatrixConfig) TransportMatrixResult {
 	type scenario struct {

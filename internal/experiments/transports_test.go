@@ -3,31 +3,53 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"rocesim/internal/core"
 )
 
-func TestTransportMatrixQuick(t *testing.T) {
-	cfg := DefaultTransportMatrix(true)
-	r := RunTransportMatrix(cfg)
+// The full matrix and one real quick matrix are simulated once for the
+// tests below.
+var fullTransports, quickTransports *TransportMatrixResult
 
-	if len(r.Scenarios) != 2 || r.Scenarios[0] != "pfc-storm" || r.Scenarios[1] != "incast" {
+func fullTransportMatrix() TransportMatrixResult {
+	if fullTransports == nil {
+		r := RunTransportMatrix(DefaultTransportMatrix(false))
+		fullTransports = &r
+	}
+	return *fullTransports
+}
+
+func quickTransportMatrix() TransportMatrixResult {
+	if quickTransports == nil {
+		r := RunTransportMatrix(DefaultTransportMatrix(true))
+		quickTransports = &r
+	}
+	return *quickTransports
+}
+
+// quickOfFull is the quick grid as the full matrix's first two
+// scenarios, which are the quick matrix's.
+func quickOfFull() TransportMatrixResult {
+	full := fullTransportMatrix()
+	quick := len(TransportModes) * 2
+	return TransportMatrixResult{Cfg: DefaultTransportMatrix(true), Scenarios: full.Scenarios[:2], Cells: full.Cells[:quick]}
+}
+
+// TestTransportMatrixQuick checks the quick grid on the full matrix's
+// first two scenarios, and that the real quick matrix renders the same
+// bytes.
+func TestTransportMatrixQuick(t *testing.T) {
+	r := quickOfFull()
+
+	if r.Scenarios[0] != "pfc-storm" || r.Scenarios[1] != "incast" {
 		t.Fatalf("quick scenarios: %v", r.Scenarios)
 	}
-	if len(r.Cells) != len(r.Scenarios)*len(TransportModes) {
-		t.Fatalf("cell count %d", len(r.Cells))
-	}
-
 	for _, c := range r.Cells {
-		if c.Mode != core.TransportPFCDCQCN.String() && c.PauseTx != 0 {
-			t.Errorf("%s/%s: lossy fabric emitted %d pause frames", c.Scenario, c.Mode, c.PauseTx)
-		}
-		if !c.Recovered {
-			t.Errorf("%s/%s: victim traffic never recovered", c.Scenario, c.Mode)
-		}
 		if c.Completed == 0 || c.GoodputGbps <= 0 {
 			t.Errorf("%s/%s: no progress at all: %+v", c.Scenario, c.Mode, c)
 		}
+	}
+	// The lossy fabrics never pause, and every victim recovers.
+	if bad := r.Verdict(); len(bad) != 0 {
+		t.Errorf("verdict failures: %v", bad)
 	}
 
 	// The storm must actually storm under PFC: pause frames flew, and
@@ -47,12 +69,39 @@ func TestTransportMatrixQuick(t *testing.T) {
 	}
 
 	// Byte-determinism: the whole rendered table, not just totals.
-	r2 := RunTransportMatrix(cfg)
-	if r.Table() != r2.Table() {
-		t.Fatalf("transport matrix not deterministic:\n--- run1\n%s--- run2\n%s", r.Table(), r2.Table())
+	again := quickTransportMatrix()
+	if len(again.Cells) != len(r.Cells) {
+		t.Fatalf("quick matrix has %d cells, want %d", len(again.Cells), len(r.Cells))
+	}
+	if r.Table() != again.Table() {
+		t.Fatalf("transport matrix not deterministic:\n--- in the full run\n%s--- quick run\n%s", r.Table(), again.Table())
 	}
 	if !strings.Contains(r.Table(), "winners by goodput") {
 		t.Fatal("table lost its winners section")
+	}
+}
+
+// TestQuickMatrixDeterministicAndSafe checks in process what `make
+// transports` checks through the CLI: the quick grid renders
+// byte-identically run to run, the lossy fabrics never emit a pause
+// frame, and every cell's victim traffic survives its scenario.
+func TestQuickMatrixDeterministicAndSafe(t *testing.T) {
+	r1 := quickOfFull()
+	r2 := quickTransportMatrix()
+	if r1.Table() != r2.Table() {
+		t.Fatalf("matrix not byte-deterministic:\n--- run1\n%s--- run2\n%s", r1.Table(), r2.Table())
+	}
+	if bad := r1.Verdict(); len(bad) != 0 {
+		t.Fatalf("verdict failures: %v", bad)
+	}
+	for _, want := range []string{"pfc-storm", "incast", "irn-no-pfc", "irn+ecn", "winners by goodput"} {
+		if !strings.Contains(r1.Table(), want) {
+			t.Errorf("table missing %q", want)
+		}
+	}
+	// The three-way comparison includes all modes for each scenario.
+	if got := strings.Count(r1.Table(), "pfc-storm"); got < 3 {
+		t.Errorf("pfc-storm appears %d times", got)
 	}
 }
 
@@ -60,7 +109,7 @@ func TestTransportMatrixFullScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix in -short mode")
 	}
-	r := RunTransportMatrix(DefaultTransportMatrix(false))
+	r := fullTransportMatrix()
 	if len(r.Scenarios) != 4 {
 		t.Fatalf("full scenarios: %v", r.Scenarios)
 	}

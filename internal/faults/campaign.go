@@ -271,7 +271,6 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	if !cell.Recovered {
 		var buf bytes.Buffer
 		if err := rec.WriteText(&buf); err == nil {
-			cell.Dump = buf.String()
 			cell.DumpLines = bytes.Count(buf.Bytes(), []byte{'\n'})
 		}
 	}
@@ -467,7 +466,7 @@ func ClosScenario(name string, duration simtime.Duration) Scenario {
 	}
 }
 
-// DefaultCampaign is the matrix cmd/roce-chaos runs by default: every
+// DefaultCampaign is the matrix `roce chaos` runs: every
 // fault in the library, each against the scenario whose role it targets.
 // The unsafe column reruns the worst faults against the pre-mitigation
 // fleet: its storm cell never recovers (exercising the flight-recorder

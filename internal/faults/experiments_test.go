@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 )
 
 // TestHookComposesWithExperiment injects a scheduled fault into one of
-// the existing paper experiments through its Observe hook — the
-// composition the subsystem promises: any experiment, any fault, no
-// experiment-side changes. A corrupted uplink during the Figure 10
-// incident scenario must be applied, reverted, and survived (go-back-N
-// keeps the chatty service completing operations).
+// the paper's scenarios through its Observe hook — the composition the
+// subsystem promises: any scenario, any fault, no scenario-side
+// changes. A corrupted uplink during the Figure 10 incident must be
+// applied, reverted, and survived (go-back-N keeps the chatty service
+// completing operations).
 func TestHookComposesWithExperiment(t *testing.T) {
 	h := faults.Hook{Schedule: faults.Schedule{{
 		At:       simtime.Time(10 * simtime.Millisecond),
@@ -23,12 +24,13 @@ func TestHookComposesWithExperiment(t *testing.T) {
 		Target:   "link:tor-0-0~leaf-0-0",
 		Param:    0.02,
 	}}}
-	cfg := experiments.AlphaConfig{
-		Seed: 51, Alpha: 1.0 / 16, Chatty: 1, Backends: 4,
+	r, err := experiments.Lookup("incident").Run(experiments.Options{
 		Duration: 40 * simtime.Millisecond,
 		Observe:  h.Observe,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := experiments.RunAlpha(cfg)
 
 	in := h.Injector()
 	if in == nil {
@@ -39,7 +41,13 @@ func TestHookComposesWithExperiment(t *testing.T) {
 		!strings.Contains(in.Log[1], "revert link-corrupt") {
 		t.Fatalf("journal = %q", in.Log)
 	}
-	if r.ChattyOps == 0 {
-		t.Fatal("chatty service completed nothing across the corrupted-uplink window")
+	ops := regexp.MustCompile(`chattyOps=(\d+)`).FindAllStringSubmatch(r.Text, -1)
+	if len(ops) != 2 {
+		t.Fatalf("want both α rows in the rendering:\n%s", r.Text)
+	}
+	for _, m := range ops {
+		if m[1] == "0" {
+			t.Fatalf("chatty service completed nothing across the corrupted-uplink window:\n%s", r.Text)
+		}
 	}
 }

@@ -390,18 +390,18 @@ func (in *Injector) lookupNIC(target string) *nic.NIC {
 }
 
 // Hook adapts an Injector to the experiments' Observe hook, mirroring
-// experiments.Audit: set a config's Observe to (*Hook).Observe and the
-// schedule runs inside that experiment's kernel.
+// experiments.Audit: set the Observe option to (*Hook).Observe and the
+// schedule runs inside each kernel the scenario runs; Injector returns
+// the last one's.
 //
 //	h := faults.Hook{Schedule: plan}
-//	cfg.Observe = h.Observe
-//	experiments.RunStorm(cfg)
+//	experiments.Lookup("storm").Run(experiments.Options{Observe: h.Observe})
 type Hook struct {
 	Schedule Schedule
 	in       *Injector
 }
 
-// Observe creates the injector on the experiment's kernel.
+// Observe creates the injector on the kernel.
 func (h *Hook) Observe(k *sim.Kernel) { h.in = NewInjector(k, h.Schedule) }
 
 // Injector exposes the created injector (nil before Observe runs).

@@ -3,7 +3,6 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -51,11 +50,9 @@ type Cell struct {
 	Expect      string   `json:"expect"`
 	ExpectFired bool     `json:"expect_fired"`
 
-	// Dump is the flight-recorder tail for unrecovered cells. It is
-	// excluded from JSON (and so from goldens) because it is large;
-	// DumpLines records its size.
-	Dump      string `json:"-"`
-	DumpLines int    `json:"dump_lines,omitempty"`
+	// DumpLines is the length of the flight-recorder tail an
+	// unrecovered cell leaves.
+	DumpLines int `json:"dump_lines,omitempty"`
 }
 
 // Name is the cell's matrix coordinate.
@@ -139,17 +136,4 @@ func (s *Scorecard) Text() string {
 		fmt.Fprintf(&b, "%s\n", strings.Join(names, ", "))
 	}
 	return b.String()
-}
-
-// WriteDumps writes the flight-recorder dumps of unrecovered cells.
-func (s *Scorecard) WriteDumps(w io.Writer) error {
-	for _, c := range s.Unrecovered() {
-		if c.Dump == "" {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "\n=== flight recorder: %s ===\n%s", c.Name(), c.Dump); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -35,7 +35,7 @@ type Campaign struct {
 	Cases  []Case
 }
 
-// DefaultCampaign is the matrix cmd/roce-rollout runs: two good config
+// DefaultCampaign is the matrix `roce rollout` runs: two good config
 // pushes that must reach the whole fleet (a buffer α bump and a
 // per-class ECN retune), and four §6.2-style bad payloads — a pipeline
 // that ships the wrong α, the same pipeline skipping the canary (the
