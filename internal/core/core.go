@@ -4,8 +4,10 @@
 // ARP-incomplete drop rule, the NIC and switch PFC storm watchdogs,
 // large MTT pages, dynamic buffer sharing, DCQCN), the two-lossless-class
 // QoS plan of Section 2, and the staged deployment procedure of
-// Section 6.1 — exposed as one Deployment that builds a fully wired,
-// monitored fabric.
+// Section 6.1 — exposed as one Deployment that builds a fully wired
+// fabric under configuration management. Counter sampling and alerting
+// live in the health plane (internal/health), which a caller attaches
+// to the deployment's kernel.
 package core
 
 import (
@@ -185,9 +187,6 @@ type Config struct {
 	// Alpha overrides the dynamic-buffer parameter (default 1/16; the
 	// incident of §6.2 shipped 1/64).
 	Alpha float64
-	// MonitorInterval is the counter-collection period (the paper plots
-	// five-minute buckets; simulations use shorter ones).
-	MonitorInterval simtime.Duration
 	// MTTRegionBytes sizes the registered-memory region the slow
 	// receiver model draws addresses from.
 	MTTRegionBytes int64
@@ -204,22 +203,20 @@ type Config struct {
 // topology.
 func DefaultConfig(spec topology.Spec) Config {
 	return Config{
-		Topology:        spec,
-		Mode:            DSCPBased,
-		Safety:          Recommended(),
-		Stage:           StageSpine,
-		Alpha:           1.0 / 16,
-		MonitorInterval: 10 * simtime.Millisecond,
-		MTTRegionBytes:  1 << 30,
+		Topology:       spec,
+		Mode:           DSCPBased,
+		Safety:         Recommended(),
+		Stage:          StageSpine,
+		Alpha:          1.0 / 16,
+		MTTRegionBytes: 1 << 30,
 	}
 }
 
-// Deployment is a built, monitored fabric.
+// Deployment is a built fabric and its configuration store.
 type Deployment struct {
 	K       *sim.Kernel
 	Cfg     Config
 	Net     *topology.Network
-	Mon     *monitor.Collector
 	Configs *monitor.ConfigStore
 
 	dcqcnParams dcqcn.Params
@@ -229,9 +226,6 @@ type Deployment struct {
 func New(k *sim.Kernel, cfg Config) (*Deployment, error) {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 1.0 / 16
-	}
-	if cfg.MonitorInterval <= 0 {
-		cfg.MonitorInterval = 10 * simtime.Millisecond
 	}
 	spec := cfg.Topology
 	safety := cfg.Safety
@@ -293,13 +287,11 @@ func New(k *sim.Kernel, cfg Config) (*Deployment, error) {
 		K:           k,
 		Cfg:         cfg,
 		Net:         net,
-		Mon:         monitor.NewCollector(k, cfg.MonitorInterval),
 		Configs:     monitor.NewConfigStore(),
 		dcqcnParams: dcqcn.DefaultParams(spec.LinkRate),
 	}
 	d.Configs.SetClock(k.Now)
 	for _, sw := range net.Switches() {
-		d.Mon.WatchSwitch(sw)
 		read := monitor.SwitchConfigReader(sw)
 		d.Configs.RegisterReader(sw.Name(), read)
 		d.Configs.RegisterWriter(sw.Name(), monitor.SwitchConfigWriter(sw))
@@ -313,7 +305,6 @@ func New(k *sim.Kernel, cfg Config) (*Deployment, error) {
 		d.Configs.SetDesired(sw.Name(), want)
 	}
 	for _, s := range net.Servers {
-		d.Mon.WatchNIC(s.NIC)
 		// NICs are managed too: desired is captured from the as-built
 		// configuration (NICTweak included), so a fresh deployment is
 		// drift-free and any later divergence — or a NIC outside the

@@ -91,7 +91,6 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	default:
 		return nil, fmt.Errorf("health: unknown scenario %q (have %v)", cfg.Scenario, HealthScenarios())
 	}
-	dcfg.MonitorInterval = 10 * simtime.Millisecond
 
 	// The injector resolves its targets from the network announcement,
 	// so it must exist before core.New builds the fabric.
@@ -161,7 +160,7 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	// watermark probes; the probe feeds the watermark sketch as a side
 	// effect so the distribution and the time series stay in lockstep.
 	sc := health.NewScraper(k, health.ScrapeConfig{
-		Interval: dcfg.MonitorInterval,
+		Interval: 10 * simtime.Millisecond,
 		Filter: func(key string) bool {
 			return hasAnySuffix(key, "/pause_rx", "/lossless_drops")
 		},
@@ -199,7 +198,7 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	lastRate := func() float64 {
 		delta := delivered - lastDelivered
 		lastDelivered = delivered
-		return float64(delta) * 8 / dcfg.MonitorInterval.Seconds() / 1e9 // Gb/s
+		return float64(delta) * 8 / sc.Interval().Seconds() / 1e9 // Gb/s
 	}
 	eng.Add(health.Objective{
 		Name: "goodput-floor-500mbps",

@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"rocesim/internal/core"
 	"rocesim/internal/flighttrace"
-	"rocesim/internal/monitor"
+	"rocesim/internal/health"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/stats"
@@ -46,10 +47,11 @@ type StormResult struct {
 	// their servers became unavailable").
 	ServersAffected int
 	ServersTotal    int
-	// PauseRxPeak is the max pause frames any server received in one
-	// collection interval (Figure 9(b)).
+	// PauseRxPeak is the max pause frames any one device, server or
+	// switch, received in one scrape interval (Figure 9(b)).
 	PauseRxPeak float64
-	// StormPauseSeries is the aggregate pause-frame time series.
+	// StormPauseSeries is the pause frames all devices received in each
+	// scrape interval.
 	StormPauseSeries *stats.Series
 	// Snapshot is the full registry snapshot at run end (pause/drop
 	// counters for every device).
@@ -94,13 +96,13 @@ func RunStorm(cfg StormConfig) StormResult {
 	dcfg.Safety = core.Recommended()
 	dcfg.Safety.NICWatchdog = cfg.Watchdogs
 	dcfg.Safety.SwitchWatchdog = cfg.Watchdogs
-	dcfg.MonitorInterval = 10 * simtime.Millisecond
 	d, err := core.New(k, dcfg)
 	if err != nil {
 		panic(err)
 	}
 	net := d.Net
 	pfc := tracePFC(k, net)
+	pauses := scrapePauseRx(k)
 	if cfg.Observe != nil {
 		cfg.Observe(k)
 	}
@@ -159,26 +161,6 @@ func RunStorm(cfg StormConfig) StormResult {
 		}
 	}
 
-	var peak float64
-	var agg *stats.Series
-	for name, s := range d.Mon.Series {
-		if len(name) > 9 && name[len(name)-9:] == "/pause_rx" {
-			if s.Max() > peak {
-				peak = s.Max()
-			}
-			if agg == nil {
-				agg = &stats.Series{Name: "pause_rx(all)", Interval: s.Interval}
-				agg.Samples = append(agg.Samples, s.Samples...)
-			} else {
-				for i, v := range s.Samples {
-					if i < len(agg.Samples) {
-						agg.Samples[i] += v
-					}
-				}
-			}
-		}
-	}
-
 	// The registry snapshot is the single source of truth at run end:
 	// the watchdog verdict and the exported counters both come from it.
 	snap := k.Metrics().Snapshot()
@@ -189,8 +171,8 @@ func RunStorm(cfg StormConfig) StormResult {
 		Cfg:              cfg,
 		ServersAffected:  affectedCount,
 		ServersTotal:     pairs,
-		PauseRxPeak:      peak,
-		StormPauseSeries: agg,
+		PauseRxPeak:      pauses.peak,
+		StormPauseSeries: &pauses.total,
 		Snapshot:         snap,
 		ThroughputBefore: before,
 		ThroughputDuring: during,
@@ -205,11 +187,38 @@ func RunStorm(cfg StormConfig) StormResult {
 func StormIncident(r StormResult) string {
 	out := "Figure 9 — NIC PFC storm incident\n"
 	out += r.Table()
-	if r.StormPauseSeries != nil {
-		out += "pause frames/interval: " + r.StormPauseSeries.Sparkline(60) + "\n"
-	}
+	out += "pause frames/interval: " + r.StormPauseSeries.Sparkline(60) + "\n"
 	out += pfcSection(r.PFC)
 	return out
 }
 
-var _ = monitor.DefaultPingmesh // keep the monitor linkage explicit
+// pauseRx is what a pause-rx scrape gathers: the largest one-interval
+// pause_rx delta of any device, and the deltas of all devices summed
+// per interval — Figures 9(b) and 10(b).
+type pauseRx struct {
+	peak  float64
+	total stats.Series
+}
+
+// scrapePauseRx scrapes every device's pause_rx counter each 10 ms in
+// the kernel's observer band, so each interval sees its last instant's
+// pauses at any shard count and the run itself is untouched.
+func scrapePauseRx(k *sim.Kernel) *pauseRx {
+	const interval = 10 * simtime.Millisecond
+	p := &pauseRx{total: stats.Series{Name: "pause_rx(all)", Interval: interval.Seconds()}}
+	sc := health.NewScraper(k, health.ScrapeConfig{
+		Interval: interval,
+		Filter:   func(key string) bool { return strings.HasSuffix(key, "/pause_rx") },
+	})
+	sc.OnScrape(func(simtime.Time) {
+		sum := 0.0
+		for _, key := range sc.Keys {
+			b, _ := sc.Series[key].Last()
+			sum += b.Sum
+			p.peak = max(p.peak, b.Sum)
+		}
+		p.total.Record(sum)
+	})
+	sc.Start()
+	return p
+}

@@ -170,11 +170,10 @@ func RunTransportMatrix(cfg TransportMatrixConfig) TransportMatrixResult {
 }
 
 // transportFabric builds a deployment of spec under the given mode with
-// the production safety set and a fast monitor cadence.
+// the production safety set.
 func transportFabric(k *sim.Kernel, spec topology.Spec, mode core.TransportMode) *core.Deployment {
 	dcfg := core.DefaultConfig(spec)
 	dcfg.Transport = mode
-	dcfg.MonitorInterval = 10 * simtime.Millisecond
 	d, err := core.New(k, dcfg)
 	if err != nil {
 		panic(err)
@@ -296,7 +295,6 @@ func runTransportPauseProp(mode core.TransportMode, seed int64) TransportCell {
 	dcfg := core.DefaultConfig(spec)
 	dcfg.Transport = mode
 	dcfg.Alpha = 1.0 / 64
-	dcfg.MonitorInterval = 10 * simtime.Millisecond
 	d, err := core.New(k, dcfg)
 	if err != nil {
 		panic(err)

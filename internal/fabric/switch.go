@@ -194,10 +194,10 @@ type Counters struct {
 	WatchdogReenables  *telemetry.Counter
 }
 
-// counterMetrics names the Counters fields, in field order. The names
-// deliberately match the collector's historical series names
-// ("<device>/pause_rx", "<device>/lossless_drops", ...), so suffix-based
-// aggregation keeps working across the registry migration.
+// counterMetrics names the Counters fields, in field order. Every device
+// publishes the same names ("<device>/pause_rx",
+// "<device>/lossless_drops", ...), so scrapers and snapshots aggregate
+// them by suffix.
 var counterMetrics = []telemetry.Metric{
 	{Suffix: "/rx_frames"},
 	{Suffix: "/tx_frames"},

@@ -10,7 +10,6 @@ import (
 	"rocesim/internal/flighttrace"
 	"rocesim/internal/health"
 	"rocesim/internal/invariant"
-	"rocesim/internal/monitor"
 	"rocesim/internal/nic"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
@@ -64,34 +63,24 @@ type Campaign struct {
 	Seed      int64
 	Scenarios []Scenario
 	Faults    []FaultSpec
-
-	// DetectPauseRx / DetectLosslessDrops parameterize the live incident
-	// detector (per-device, per 10 ms interval). Defaults: 4 / 1 — at
-	// 10GbE, pause refreshes arrive at most ~6 per 10 ms interval.
-	DetectPauseRx       float64
-	DetectLosslessDrops float64
-	// RecoveredFrac is the fraction of pre-fault throughput a window
-	// must reach to count as recovered (default 0.5).
-	RecoveredFrac float64
 }
 
-func (c *Campaign) fill() {
-	if c.DetectPauseRx <= 0 {
-		c.DetectPauseRx = 4
-	}
-	if c.DetectLosslessDrops <= 0 {
-		c.DetectLosslessDrops = 1
-	}
-	if c.RecoveredFrac <= 0 {
-		c.RecoveredFrac = 0.5
-	}
-}
+// How a cell is scored. The SLO objectives page on one device's
+// pause-rx or lossless-drop delta in one scrape interval reaching
+// detectPauseRx or detectLosslessDrops; at 10GbE, pause refreshes
+// arrive at most ~6 per 10 ms interval. A throughput window counts as
+// recovered at recoveredFrac of the pre-fault mean.
+const (
+	scrapeInterval      = 10 * simtime.Millisecond
+	detectPauseRx       = 4
+	detectLosslessDrops = 1
+	recoveredFrac       = 0.5
+)
 
 // Run executes every applicable cell sequentially (cells share nothing;
 // sequential execution keeps ordering and output deterministic) and
 // returns the survivability scorecard.
 func (c Campaign) Run() *Scorecard {
-	c.fill()
 	sc := &Scorecard{Seed: c.Seed}
 	for _, s := range c.Scenarios {
 		for _, f := range c.Faults {
@@ -107,8 +96,8 @@ func (c Campaign) Run() *Scorecard {
 // runCell runs one (scenario, fault) pair in its own kernel, seeded from
 // the campaign seed and the cell name so cells are independent but
 // reproducible, with the invariant auditor and a flight recorder
-// attached, the incident detector armed, and per-interval throughput
-// sampled off the deployment's collector.
+// attached, and a health scraper that evaluates the SLO objectives and
+// samples per-interval throughput.
 func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	cell := Cell{Scenario: s.Name, Fault: f.Name, Transport: s.Transport.String(), Expect: f.Expect}
 	k := sim.NewKernel(c.Seed ^ int64(fnv64(s.Name+"/"+f.Name)))
@@ -136,12 +125,35 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 		panic("faults: scenario build did not announce a topology")
 	}
 
+	// The SLO objectives watch pause-rx and lossless-drop deltas per
+	// scrape through the health plane's burn-rate engine. Both windows
+	// span a single scrape: the campaign's faults include one-interval
+	// blips (a flap's single pause burst) that must page, so the
+	// multi-window discipline is the health scenarios' job. The scraper
+	// runs in the kernel's observer band and never perturbs component
+	// events.
+	hs := health.NewScraper(k, health.ScrapeConfig{
+		Interval: scrapeInterval,
+		Filter: func(key string) bool {
+			return strings.HasSuffix(key, "/pause_rx") || strings.HasSuffix(key, "/lossless_drops")
+		},
+	})
+	eng := health.NewEngine(k, hs)
+	eng.Add(health.Objective{
+		Name: "pause-rx", Bad: health.OverDelta(hs, "/pause_rx", detectPauseRx),
+		LongWindow: scrapeInterval,
+	})
+	eng.Add(health.Objective{
+		Name: "lossless-drops", Bad: health.OverDelta(hs, "/lossless_drops", detectLosslessDrops),
+		LongWindow: scrapeInterval,
+	})
+
 	// Per-interval progress of the measured streams, in bytes, sampled
-	// on the collector tick so windows align with the detector's view.
+	// on the scrape so windows align with the objectives' view.
 	var windows []float64
 	var windowEnd []simtime.Time
 	var lastBytes uint64
-	d.Mon.AfterSample(func(now simtime.Time) {
+	hs.OnScrape(func(now simtime.Time) {
 		var tot uint64
 		for _, st := range streams {
 			tot += st.Done * uint64(st.Size)
@@ -150,37 +162,6 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 		windowEnd = append(windowEnd, now)
 		lastBytes = tot
 	})
-
-	det := monitor.NewIncidentDetector(d.Mon, c.DetectPauseRx)
-	det.LosslessDropsPerInterval = c.DetectLosslessDrops
-	det.ClearAfter = 2
-	det.Arm()
-
-	// The SLO path watches the same signals as the detector — pause-rx
-	// and lossless-drop deltas per monitor interval — but through the
-	// health plane's burn-rate engine, so every cell scores both
-	// time-to-detect numbers side by side. Both windows span a single
-	// scrape: the campaign's faults include one-interval blips (a flap's
-	// single pause burst) that the detector pages on, and the columns
-	// are only comparable if the objectives mirror its per-interval
-	// thresholds exactly — the multi-window discipline is the health
-	// scenarios' job. The scraper runs in the kernel's observer band and
-	// never perturbs component events.
-	hs := health.NewScraper(k, health.ScrapeConfig{
-		Interval: d.Cfg.MonitorInterval,
-		Filter: func(key string) bool {
-			return strings.HasSuffix(key, "/pause_rx") || strings.HasSuffix(key, "/lossless_drops")
-		},
-	})
-	eng := health.NewEngine(k, hs)
-	eng.Add(health.Objective{
-		Name: "pause-rx", Bad: health.OverDelta(hs, "/pause_rx", c.DetectPauseRx),
-		LongWindow: d.Cfg.MonitorInterval,
-	})
-	eng.Add(health.Objective{
-		Name: "lossless-drops", Bad: health.OverDelta(hs, "/lossless_drops", c.DetectLosslessDrops),
-		LongWindow: d.Cfg.MonitorInterval,
-	})
 	hs.Start()
 
 	k.RunUntil(simtime.Time(s.Duration))
@@ -188,8 +169,7 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	snap := k.Metrics().Snapshot()
 
 	// Throughput phases. Windows are timestamped at their end.
-	interval := float64(d.Cfg.MonitorInterval.Seconds())
-	gbps := func(bytes float64) float64 { return bytes * 8 / interval / 1e9 }
+	gbps := func(bytes float64) float64 { return bytes * 8 / scrapeInterval.Seconds() / 1e9 }
 	faultEnd := simtime.Time(s.Duration)
 	if faultDur > 0 {
 		faultEnd = faultAt.Add(faultDur)
@@ -210,9 +190,9 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	cell.AfterGbps = round3(gbps(mean(after)))
 
 	// Recovery: the cell has recovered when the last window at or below
-	// RecoveredFrac × baseline is behind us. A cell whose final window is
+	// recoveredFrac × baseline is behind us. A cell whose final window is
 	// still degraded ends unrecovered and gets a flight-recorder dump.
-	floor := c.RecoveredFrac * mean(base)
+	floor := recoveredFrac * mean(base)
 	lastBad := -1
 	for i, end := range windowEnd {
 		if end.After(faultAt) && windows[i] < floor {
@@ -229,28 +209,11 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 		cell.RecoveryMS = round3(windowEnd[lastBad].Sub(faultAt).Seconds() * 1e3)
 	}
 
-	// Detection: the first alert at or after fault onset. A cell whose
-	// incident opened BEFORE the fault and never cleared (the unsafe
-	// fleet runs congested enough to keep the detector hot) counts as
-	// detected at onset — the pager was already ringing.
-	for _, a := range det.Alerts {
-		if !a.At.Before(faultAt) {
-			cell.Detected = true
-			cell.DetectMS = round3(a.At.Sub(faultAt).Seconds() * 1e3)
-			cell.DetectedBy = a.Device
-			break
-		}
-	}
-	if !cell.Detected && det.Triggered() && len(det.Alerts) > 0 {
-		last := det.Alerts[len(det.Alerts)-1]
-		cell.Detected = true
-		cell.DetectedBy = last.Device
-	}
-
-	// SLO time-to-detect: the burn-rate engine's first breach at or
-	// after fault onset, in ns from onset. A cell whose only breach
-	// opened before the fault and is still open at end of run scores 0 —
-	// the pager was already ringing, same rule as the detector above.
+	// Time-to-detect: the burn-rate engine's first breach at or after
+	// fault onset, in ns from onset. A cell whose only breach opened
+	// before the fault and is still open at end of run (the unsafe fleet
+	// runs congested enough to keep an objective hot) scores 0 — the
+	// pager was already ringing.
 	cell.SLODetectNs = -1
 	if at, ok := eng.FirstBreachAfter(faultAt); ok {
 		cell.SLODetectNs = int64(at.Sub(faultAt) / simtime.Nanosecond)

@@ -14,12 +14,6 @@ type Cell struct {
 	// "pfc+dcqcn", "irn-no-pfc" or "irn+ecn".
 	Transport string `json:"transport"`
 
-	// Detection: did the live incident detector raise an alert at or
-	// after fault onset, how long after, and on which device.
-	Detected   bool    `json:"detected"`
-	DetectMS   float64 `json:"detect_ms"`
-	DetectedBy string  `json:"detected_by,omitempty"`
-
 	// SLODetectNs is the health plane's time-to-detect: nanoseconds from
 	// fault onset to the burn-rate engine's first SLO breach. 0 means the
 	// breach was already open at onset and never cleared; -1 means no
@@ -32,7 +26,7 @@ type Cell struct {
 	DuringGbps   float64 `json:"during_gbps"`
 	AfterGbps    float64 `json:"after_gbps"`
 
-	// Recovery: did throughput return to RecoveredFrac × baseline before
+	// Recovery: did throughput return to half the baseline before
 	// the run ended, and how long after fault onset the last degraded
 	// window closed.
 	Recovered  bool    `json:"recovered"`
@@ -96,13 +90,9 @@ func (s *Scorecard) JSON() ([]byte, error) {
 func (s *Scorecard) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos campaign (seed %d): %d cells\n\n", s.Seed, len(s.Cells))
-	fmt.Fprintf(&b, "%-34s %9s %9s %8s %8s %8s %9s %6s %6s  %s\n",
-		"cell", "detect", "slo", "base", "during", "after", "recover", "viol", "drift", "safeguards")
+	fmt.Fprintf(&b, "%-34s %9s %8s %8s %8s %9s %6s %6s  %s\n",
+		"cell", "slo", "base", "during", "after", "recover", "viol", "drift", "safeguards")
 	for _, c := range s.Cells {
-		det := "-"
-		if c.Detected {
-			det = fmt.Sprintf("%.1fms", c.DetectMS)
-		}
 		slo := "-"
 		if c.SLODetectNs >= 0 {
 			slo = fmt.Sprintf("%.1fms", float64(c.SLODetectNs)/1e6)
@@ -123,8 +113,8 @@ func (s *Scorecard) Text() string {
 				mark = "!"
 			}
 		}
-		fmt.Fprintf(&b, "%-34s %9s %9s %8.1f %8.1f %8.1f %9s %6d %6d %s %s (want %s)\n",
-			c.Name(), det, slo, c.BaselineGbps, c.DuringGbps, c.AfterGbps,
+		fmt.Fprintf(&b, "%-34s %9s %8.1f %8.1f %8.1f %9s %6d %6d %s %s (want %s)\n",
+			c.Name(), slo, c.BaselineGbps, c.DuringGbps, c.AfterGbps,
 			rec, c.Violations, c.Drifts, mark, sg, c.Expect)
 	}
 	if un := s.Unrecovered(); len(un) > 0 {

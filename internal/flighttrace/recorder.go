@@ -55,8 +55,9 @@ func (r *ring) snapshot() []Record {
 
 // Recorder is the flight recorder: a bounded ring of recent trace
 // events per device. It runs continuously at fixed memory cost and is
-// dumped after the fact — when the incident detector fires — to show
-// what the fabric was doing in the moments before an incident.
+// dumped after the fact — when an SLO alert fires, or when a chaos cell
+// ends unrecovered — to show what the fabric was doing in the moments
+// before an incident.
 type Recorder struct {
 	perDevice int
 	seq       uint64

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -198,66 +199,102 @@ func TestScraperLateMetric(t *testing.T) {
 	}
 }
 
-// TestEngineBurnRateHysteresis drives a pause counter through calm,
-// storm and recovery, checking breach timing, the announcement bus, the
-// clear, and FirstBreachAfter.
+// TestEngineBurnRateHysteresis drives a pause counter through storms
+// and calm stretches, checking breach and clear timing, the
+// announcement bus, FirstBreachAfter and Status.
 func TestEngineBurnRateHysteresis(t *testing.T) {
-	k := sim.NewKernel(7)
-	ctr := k.Metrics().Counter("tor-0/pause_rx")
-	sc := NewScraper(k, ScrapeConfig{Interval: 10 * simtime.Millisecond})
-	e := NewEngine(k, sc)
-	e.Add(Objective{
-		Name: "pause-ceiling", Bad: OverDelta(sc, "/pause_rx", 100),
-		Budget: 0.25, ShortWindow: 10 * simtime.Millisecond,
-		LongWindow: 40 * simtime.Millisecond, Burn: 2, ClearAfter: 2,
-	})
-	sc.Start()
+	const ms = simtime.Millisecond
+	// A storm's 1 ms ticks in (from, to] add 20 pause frames each, so a
+	// scrape interval it covers sees a delta of at least 100.
+	type storm struct{ from, to simtime.Duration }
+	for _, tc := range []struct {
+		name       string
+		long       simtime.Duration
+		clearAfter int
+		storms     []storm
+		want       []string // alerts in firing order
+	}{
+		// Scrapes at 40/50/60ms see deltas ≥ 100. The short window (1
+		// scrape) burns 4 at 40ms; the long window (4 scrapes at the
+		// half-open (now-w, now] boundary) needs two bad scrapes to burn
+		// 2/4/0.25 = 2, so the breach opens at 50ms. The single bad
+		// scrape at 40ms burns the long window at only 1/4/0.25 = 1: a
+		// blip cannot page. Calm scrapes at 70 and 80ms clear it.
+		{"blip-cannot-page", 40 * ms, 2, []storm{{35 * ms, 64 * ms}},
+			[]string{"BREACH@50ms", "clear@80ms"}},
+		// One-scrape windows, so every hot scrape burns both. The two
+		// calm scrapes between the first two storms are fewer than
+		// ClearAfter: the second storm folds into the open breach, with
+		// no second page. Three calm scrapes then clear it, and the
+		// storm after that real clear opens a second breach.
+		{"back-to-back-storms", 10 * ms, 3, []storm{{0, 20 * ms}, {40 * ms, 60 * ms}, {90 * ms, 110 * ms}},
+			[]string{"BREACH@10ms", "clear@90ms", "BREACH@100ms", "clear@140ms"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel(7)
+			ctr := k.Metrics().Counter("tor-0/pause_rx")
+			sc := NewScraper(k, ScrapeConfig{Interval: 10 * ms})
+			e := NewEngine(k, sc)
+			e.Add(Objective{
+				Name: "pause-ceiling", Bad: OverDelta(sc, "/pause_rx", 100),
+				Budget: 0.25, ShortWindow: 10 * ms,
+				LongWindow: tc.long, Burn: 2, ClearAfter: tc.clearAfter,
+			})
+			sc.Start()
 
-	var announced []SLOAlert
-	k.OnAnnounce(func(v any) {
-		if a, ok := v.(SLOAlert); ok {
-			announced = append(announced, a)
-		}
-	})
+			var announced []SLOAlert
+			k.OnAnnounce(func(v any) {
+				if a, ok := v.(SLOAlert); ok {
+					announced = append(announced, a)
+				}
+			})
+			ticks := k.NewTicker(ms, func() {
+				now := simtime.Duration(k.Now())
+				for _, s := range tc.storms {
+					if now > s.from && now <= s.to {
+						ctr.Add(20)
+					}
+				}
+			})
+			defer ticks.Stop()
+			k.RunUntil(simtime.Time(150 * ms))
 
-	// Storm from 35ms to 65ms: scrapes at 40/50/60ms see deltas ≥ 100.
-	storm := k.NewTicker(simtime.Millisecond, func() {
-		now := k.Now()
-		if now > simtime.Time(35*simtime.Millisecond) && now < simtime.Time(65*simtime.Millisecond) {
-			ctr.Add(20)
-		}
-	})
-	defer storm.Stop()
-	k.RunUntil(simtime.Time(120 * simtime.Millisecond))
-
-	// Short window (1 scrape) hits burn 4 at 40ms; long window (4
-	// scrapes at the half-open (now-w, now] boundary) needs two bad
-	// scrapes to burn 2/4/0.25 = 2 → breach at 50ms. The single bad
-	// scrape at 40ms burns the long window at only 1/4/0.25 = 1: a
-	// blip cannot page.
-	breachAt := simtime.Time(50 * simtime.Millisecond)
-	if at, ok := e.FirstBreachAfter(0); !ok || at != breachAt {
-		t.Fatalf("first breach = %v,%v, want %v", at, ok, breachAt)
-	}
-	if e.Breached() {
-		t.Fatal("breach still open after recovery")
-	}
-	if !e.EverBreached() {
-		t.Fatal("EverBreached lost the breach")
-	}
-	if len(e.Alerts) != 2 || e.Alerts[0].Cleared || !e.Alerts[1].Cleared {
-		t.Fatalf("alerts = %+v", e.Alerts)
-	}
-	if len(announced) != 2 {
-		t.Fatalf("bus saw %d alerts, want 2", len(announced))
-	}
-	if _, ok := e.FirstBreachAfter(simtime.Time(60 * simtime.Millisecond)); ok {
-		t.Fatal("FirstBreachAfter found a breach after the storm")
-	}
-	st := e.Status()
-	if len(st) != 1 || !st[0].EverBreached || st[0].Breaches != 1 ||
-		st[0].FirstBreachNs != int64(50*1e6) {
-		t.Fatalf("status = %+v", st)
+			var got []string
+			var breaches []simtime.Time
+			for _, a := range e.Alerts {
+				verb := "clear"
+				if !a.Cleared {
+					verb = "BREACH"
+					breaches = append(breaches, a.At)
+				}
+				got = append(got, fmt.Sprintf("%s@%v", verb, a.At))
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("alerts %v, want %v", got, tc.want)
+			}
+			if !slices.Equal(announced, e.Alerts) {
+				t.Fatalf("bus saw %v, engine fired %v", announced, e.Alerts)
+			}
+			if e.Breached() {
+				t.Fatal("breach still open after recovery")
+			}
+			if !e.EverBreached() {
+				t.Fatal("EverBreached lost the breach")
+			}
+			for i, at := range breaches {
+				if got, ok := e.FirstBreachAfter(at - 1); !ok || got != at {
+					t.Fatalf("FirstBreachAfter(%v) = %v,%v, want breach %d at %v", at-1, got, ok, i, at)
+				}
+			}
+			if _, ok := e.FirstBreachAfter(breaches[len(breaches)-1] + 1); ok {
+				t.Fatal("FirstBreachAfter found a breach after the last storm")
+			}
+			st := e.Status()
+			if len(st) != 1 || !st[0].EverBreached || st[0].Breaches != len(breaches) ||
+				st[0].FirstBreachNs != int64(breaches[0]/simtime.Time(simtime.Nanosecond)) {
+				t.Fatalf("status = %+v", st)
+			}
+		})
 	}
 }
 

@@ -21,9 +21,9 @@ type ScrapeConfig struct {
 	Filter func(key string) bool
 }
 
-// DefaultScrape matches the monitoring cadence the paper's collectors
-// use (10ms simulated; the real systems use seconds-to-minutes, scaled
-// down with everything else).
+// DefaultScrape matches the monitoring cadence of the paper's counter
+// collection (10ms simulated; the real systems use seconds-to-minutes,
+// scaled down with everything else).
 func DefaultScrape() ScrapeConfig {
 	return ScrapeConfig{
 		Interval: 10 * simtime.Millisecond,
@@ -49,9 +49,11 @@ type scraped struct {
 // into TieredSeries — counters as per-interval deltas, gauges as spot
 // values — plus any directly-wired probes (queue watermarks read
 // straight off an MMU). Scrapes run in the kernel's observer band: at
-// scrape time T every normal event of T has already fired, and the
-// scrape itself can never reorder component events, so adding or
-// removing the health plane does not change a simulation's outcome.
+// scrape time T every normal event of T has already fired, on every
+// shard when the kernel is a shard group's global kernel, so a scrape
+// reads the same values at any shard count. The scrape itself can never
+// reorder component events, so adding or removing the health plane does
+// not change a simulation's outcome.
 //
 // A round reads the selected metrics through registry Readers. The
 // registry is snapshotted, and the filter run over its keys, only on the

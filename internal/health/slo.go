@@ -16,8 +16,9 @@ import (
 // multi-window burn rate: the objective breaches when the average
 // badness over BOTH the short and the long window exceeds Burn×Budget
 // (short window for fast detection, long window so a single blip can't
-// page), and clears only after ClearAfter consecutive calm scrapes —
-// the same hysteresis discipline as the incident detector.
+// page), and clears only after ClearAfter consecutive calm scrapes.
+// With both windows one scrape long, an objective is a per-interval
+// threshold detector with ClearAfter hysteresis.
 type Objective struct {
 	Name string
 	Bad  func(now simtime.Time) float64

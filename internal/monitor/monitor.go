@@ -1,27 +1,25 @@
-// Package monitor implements the management and monitoring systems of
-// Section 5, which the paper calls indispensable: RDMA Pingmesh (active
-// latency probing at ToR/podset/DC scope), PFC pause-frame and traffic
-// counter collection into time series (the raw material of Figures 9 and
-// 10), configuration management with desired-vs-running drift detection
-// (the α misconfiguration of Section 6.2 is exactly such a drift), and
-// an incident detector over the collected series.
+// Package monitor implements two of the management and monitoring
+// systems of Section 5, which the paper calls indispensable: RDMA
+// Pingmesh (active latency probing at ToR/podset/DC scope) and
+// configuration management with desired-vs-running drift detection (the
+// α misconfiguration of Section 6.2 is exactly such a drift). The third,
+// counter collection into time series and alerting on them (the raw
+// material of Figures 9 and 10), is the health plane's scraper and SLO
+// engine (internal/health).
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
 
 	"rocesim/internal/fabric"
-	"rocesim/internal/flighttrace"
 	"rocesim/internal/nic"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/stats"
-	"rocesim/internal/telemetry"
 	"rocesim/internal/topology"
 	"rocesim/internal/workload"
 )
@@ -249,134 +247,6 @@ func (pm *Pingmesh) Report() string {
 		out += fmt.Sprintf("  %-7s %s failures=%d\n", s, h.Summary(1e6, "us"), pm.Failures[s])
 	}
 	return out
-}
-
-// Collector samples device counters from the kernel's telemetry
-// registry into fixed-interval time series — the "pause frames received
-// in every five minutes" plots of the incident figures. It reads only
-// published metrics: it has no access to component internals.
-//
-// Each tick reads the watched counters through registry Readers
-// resolved once, not a whole-registry Snapshot: at fleet scale the
-// snapshot (every gauge called, every histogram summarized, all sorted)
-// costs far more than the few counters sampled. The readers are
-// re-resolved when a device is watched or the registry grows, so
-// counters registered late are picked up on the next tick.
-type Collector struct {
-	k        *sim.Kernel
-	reg      *telemetry.Registry
-	interval simtime.Duration
-
-	// devices are the names whose registry counters are sampled.
-	devices []string
-
-	// Series keyed by device name + metric.
-	Series map[string]*stats.Series
-
-	// sampled lists the registered devices × sampledSuffixes keys in
-	// sampling order; tracks holds their state by key (a device watched
-	// twice samples one track twice). resolvedDevices and resolvedLen
-	// are len(devices) and the registry's Len when sampled was built.
-	sampled         []*track
-	tracks          map[string]*track
-	resolvedDevices int
-	resolvedLen     int
-
-	onSample []func(now simtime.Time)
-}
-
-// track is one sampled key: its reader, series and last reading.
-type track struct {
-	rd   telemetry.Reader
-	s    *stats.Series
-	last float64
-}
-
-// sampledSuffixes are the per-device registry counters the collector
-// turns into delta series (a device lacking one is skipped).
-var sampledSuffixes = []string{
-	"/pause_rx", "/pause_tx", "/drops", "/lossless_drops",
-	"/tx_frames", "/rx_frames",
-}
-
-// NewCollector samples every interval.
-func NewCollector(k *sim.Kernel, interval simtime.Duration) *Collector {
-	c := &Collector{
-		k: k, reg: k.Metrics(), interval: interval,
-		Series: make(map[string]*stats.Series),
-		tracks: make(map[string]*track),
-	}
-	k.NewTicker(interval, c.sample)
-	return c
-}
-
-// Watch registers a device name for collection; its counters are read
-// from the telemetry registry.
-func (c *Collector) Watch(device string) { c.devices = append(c.devices, device) }
-
-// WatchSwitch registers a switch for collection.
-func (c *Collector) WatchSwitch(sw *fabric.Switch) { c.Watch(sw.Name()) }
-
-// WatchNIC registers a NIC for collection.
-func (c *Collector) WatchNIC(n *nic.NIC) { c.Watch(n.Name()) }
-
-// resolve rebuilds the sampled list from the watched devices and the
-// registry's current keys.
-func (c *Collector) resolve() {
-	c.sampled = c.sampled[:0]
-	for _, dev := range c.devices {
-		for _, suffix := range sampledSuffixes {
-			key := dev + suffix
-			t := c.tracks[key]
-			if t == nil {
-				rd, ok := c.reg.Reader(key)
-				if !ok {
-					continue
-				}
-				t = &track{rd: rd, s: &stats.Series{Name: key, Interval: c.interval.Seconds()}}
-				c.tracks[key] = t
-				c.Series[key] = t.s
-			}
-			c.sampled = append(c.sampled, t)
-		}
-	}
-	c.resolvedDevices, c.resolvedLen = len(c.devices), c.reg.Len()
-}
-
-// AfterSample registers fn to run after every sampling tick, once the
-// interval's deltas are recorded. Hooks run in registration order —
-// this is how the incident detector (and anything reacting to it, like
-// a flight-recorder dump) keys off the collector without its own
-// ticker, keeping event ordering deterministic.
-func (c *Collector) AfterSample(fn func(now simtime.Time)) {
-	c.onSample = append(c.onSample, fn)
-}
-
-func (c *Collector) sample() {
-	if len(c.devices) != c.resolvedDevices || c.reg.Len() != c.resolvedLen {
-		c.resolve()
-	}
-	for _, t := range c.sampled {
-		v := t.rd.Value()
-		t.s.Record(v - t.last)
-		t.last = v
-	}
-	now := c.k.Now()
-	for _, fn := range c.onSample {
-		fn(now)
-	}
-}
-
-// TotalPauseRx sums switch pause_rx series — the aggregate plotted in
-// Figures 9(b) and 10(b).
-func (c *Collector) TotalPauseRx() float64 {
-	t := 0.0
-	for name, s := range c.Series {
-		if len(name) > 9 && name[len(name)-9:] == "/pause_rx" {
-			t += s.Sum()
-		}
-	}
-	return t
 }
 
 // ConfigStore is the configuration management service of Section 5.1: a
@@ -750,210 +620,4 @@ func NICConfigReader(n *nic.NIC) func() map[string]string {
 			"cnp_prio":      fmt.Sprintf("%d", c.CNPPriority),
 		}
 	}
-}
-
-// Alert is a detected incident.
-type Alert struct {
-	At     simtime.Time
-	Device string
-	Reason string
-}
-
-// IncidentDetector watches collected series and raises alerts on
-// pause-frame storms or sustained lossless drops. It has two modes:
-// Scan is a one-shot, after-the-fact sweep over whole series; Arm runs
-// it live off the collector's sampling tick with trigger/clear
-// hysteresis, firing OnTrigger (e.g. dump the flight recorder) when an
-// incident starts and OnClear when it subsides.
-type IncidentDetector struct {
-	c *Collector
-	// PauseRxPerInterval is the per-device alert threshold.
-	PauseRxPerInterval float64
-	// LosslessDropsPerInterval, when positive, also opens an incident
-	// when any device drops that many lossless frames in one interval —
-	// the guarantee violation itself, caught live rather than by the
-	// after-the-fact Scan. Zero disables (the historical behavior).
-	LosslessDropsPerInterval float64
-
-	// TriggerAfter is how many consecutive over-threshold samples open
-	// an incident (default 1). Requiring more than one filters
-	// single-interval blips.
-	TriggerAfter int
-	// ClearAfter is how many consecutive calm samples close it
-	// (default 1).
-	ClearAfter int
-	// ClearBelow is the calm level; a sample counts toward clearing
-	// only below it. Defaults to PauseRxPerInterval; set lower for a
-	// wider hysteresis band so a storm hovering at the threshold
-	// doesn't flap the detector.
-	ClearBelow float64
-
-	// OnTrigger runs when an incident opens (after the Alert is
-	// recorded); OnClear when it closes.
-	OnTrigger func(Alert)
-	OnClear   func(simtime.Time)
-
-	Alerts []Alert
-
-	armed       bool
-	triggered   bool
-	hot, calm   int
-	triggeredAt simtime.Time
-	everFired   bool
-}
-
-// NewIncidentDetector attaches to a collector; Scan it after a run, or
-// Arm it for live detection.
-func NewIncidentDetector(c *Collector, pauseThreshold float64) *IncidentDetector {
-	return &IncidentDetector{c: c, PauseRxPerInterval: pauseThreshold}
-}
-
-// Arm hooks the detector to the collector's sampling tick. Returns the
-// detector for chaining. Arming twice is a no-op.
-func (d *IncidentDetector) Arm() *IncidentDetector {
-	if d.armed {
-		return d
-	}
-	d.armed = true
-	if d.TriggerAfter <= 0 {
-		d.TriggerAfter = 1
-	}
-	if d.ClearAfter <= 0 {
-		d.ClearAfter = 1
-	}
-	if d.ClearBelow <= 0 {
-		d.ClearBelow = d.PauseRxPerInterval
-	}
-	d.c.AfterSample(d.step)
-	return d
-}
-
-// Triggered reports whether an incident is currently open.
-func (d *IncidentDetector) Triggered() bool { return d.triggered }
-
-// TriggeredAt returns the simulated time the first incident opened and
-// whether any incident has opened at all. The detection *timestamp* —
-// not just the boolean — is what time-to-detect scoring needs.
-func (d *IncidentDetector) TriggeredAt() (simtime.Time, bool) {
-	return d.triggeredAt, d.everFired
-}
-
-// DumpOnIncident wires a flight recorder to the detector: the moment an
-// incident opens, the recorder's bounded ring — the last events on
-// every device — is dumped to w as a text timeline headed by the alert.
-// This is the paper's missing forensic view: by the time a human reads
-// the pause counters the interesting events are long gone, so the dump
-// has to be taken at trigger time. Composes with any OnTrigger already
-// installed (that one runs first). Returns the detector for chaining.
-func (d *IncidentDetector) DumpOnIncident(rec *flighttrace.Recorder, w io.Writer) *IncidentDetector {
-	prev := d.OnTrigger
-	d.OnTrigger = func(a Alert) {
-		if prev != nil {
-			prev(a)
-		}
-		fmt.Fprintf(w, "=== incident @ %v on %s: %s — flight recorder dump ===\n",
-			a.At, a.Device, a.Reason)
-		if err := rec.WriteText(w); err != nil {
-			fmt.Fprintf(w, "(dump failed: %v)\n", err)
-		}
-	}
-	return d
-}
-
-// worstLast returns the device with the highest latest sample for a
-// series suffix, scanning in Watch registration order (deterministic).
-func (d *IncidentDetector) worstLast(suffix string) (string, float64) {
-	dev, worst := "", 0.0
-	for _, dv := range d.c.devices {
-		s := d.c.Series[dv+suffix]
-		if s == nil || len(s.Samples) == 0 {
-			continue
-		}
-		if v := s.Samples[len(s.Samples)-1]; dev == "" || v > worst {
-			worst, dev = v, dv
-		}
-	}
-	return dev, worst
-}
-
-// step advances the hysteresis state machine on one collector sample.
-func (d *IncidentDetector) step(now simtime.Time) {
-	worstDev, worst := d.worstLast("/pause_rx")
-	dropDev, drops := "", 0.0
-	if d.LosslessDropsPerInterval > 0 {
-		dropDev, drops = d.worstLast("/lossless_drops")
-	}
-	over := worst >= d.PauseRxPerInterval
-	alertDev := worstDev
-	reason := fmt.Sprintf("pause storm: %g pause frames in one interval", worst)
-	if !over && d.LosslessDropsPerInterval > 0 && drops >= d.LosslessDropsPerInterval {
-		over = true
-		alertDev = dropDev
-		reason = fmt.Sprintf("lossless drops: %g in one interval", drops)
-	}
-	if !d.triggered {
-		if over {
-			d.hot++
-		} else {
-			d.hot = 0
-		}
-		if d.hot >= d.TriggerAfter {
-			d.triggered, d.hot, d.calm = true, 0, 0
-			if !d.everFired {
-				d.triggeredAt, d.everFired = now, true
-			}
-			a := Alert{At: now, Device: alertDev, Reason: reason}
-			d.Alerts = append(d.Alerts, a)
-			if d.OnTrigger != nil {
-				d.OnTrigger(a)
-			}
-		}
-		return
-	}
-	calm := worst < d.ClearBelow &&
-		(d.LosslessDropsPerInterval <= 0 || drops < d.LosslessDropsPerInterval)
-	if calm {
-		d.calm++
-	} else {
-		d.calm = 0
-	}
-	if d.calm >= d.ClearAfter {
-		d.triggered, d.calm = false, 0
-		if d.OnClear != nil {
-			d.OnClear(now)
-		}
-	}
-}
-
-// Scan inspects all series and records alerts for threshold crossings.
-func (d *IncidentDetector) Scan(now simtime.Time) []Alert {
-	d.Alerts = d.Alerts[:0]
-	names := make([]string, 0, len(d.c.Series))
-	for n := range d.c.Series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s := d.c.Series[n]
-		suffix := ""
-		if i := len(n) - 9; i > 0 {
-			suffix = n[i:]
-		}
-		switch suffix {
-		case "/pause_rx":
-			if s.Max() >= d.PauseRxPerInterval {
-				d.Alerts = append(d.Alerts, Alert{
-					At: now, Device: n[:len(n)-9],
-					Reason: fmt.Sprintf("pause storm: %g pause frames in one interval", s.Max()),
-				})
-			}
-		}
-		if len(n) > 15 && n[len(n)-15:] == "/lossless_drops" && s.Sum() > 0 {
-			d.Alerts = append(d.Alerts, Alert{
-				At: now, Device: n[:len(n)-15],
-				Reason: fmt.Sprintf("lossless drops: %g", s.Sum()),
-			})
-		}
-	}
-	return d.Alerts
 }

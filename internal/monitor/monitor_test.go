@@ -1,17 +1,13 @@
 package monitor
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
-	"rocesim/internal/flighttrace"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
-	"rocesim/internal/telemetry"
 	"rocesim/internal/topology"
-	"rocesim/internal/workload"
 )
 
 func TestPingmeshScopesAndRTT(t *testing.T) {
@@ -113,40 +109,6 @@ func TestPingmeshOnResult(t *testing.T) {
 	}
 }
 
-func TestCollectorSeries(t *testing.T) {
-	k := sim.NewKernel(3)
-	net, err := topology.Build(k, topology.RackSpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector(k, 10*simtime.Millisecond)
-	col.WatchSwitch(net.Tors[0])
-	for _, s := range net.Servers {
-		col.WatchNIC(s.NIC)
-	}
-	// Incast to generate pause frames.
-	qa, _ := net.QPPair(net.Server(0, 0, 0), net.Server(0, 0, 2), nil)
-	qb, _ := net.QPPair(net.Server(0, 0, 1), net.Server(0, 0, 2), nil)
-	(&workload.Streamer{QP: qa, Size: 1 << 20}).Start(4)
-	(&workload.Streamer{QP: qb, Size: 1 << 20}).Start(4)
-	k.RunUntil(simtime.Time(200 * simtime.Millisecond))
-
-	s := col.Series["tor-0-0/pause_tx"]
-	if s == nil || len(s.Samples) < 15 {
-		t.Fatalf("pause_tx series missing or short: %+v", s)
-	}
-	if s.Sum() == 0 {
-		t.Fatal("no pause frames recorded during incast")
-	}
-	if col.TotalPauseRx() == 0 {
-		t.Fatal("NIC-side pause counters missing")
-	}
-	tx := col.Series["tor-0-0/tx_frames"]
-	if tx.Sum() == 0 {
-		t.Fatal("traffic counters missing")
-	}
-}
-
 func TestConfigDriftDetection(t *testing.T) {
 	k := sim.NewKernel(4)
 	net, err := topology.Build(k, topology.RackSpec(2))
@@ -174,43 +136,6 @@ func TestConfigDriftDetection(t *testing.T) {
 	cs.SetDesired("ghost", map[string]string{"alpha": "1/16"})
 	if len(cs.Check()) != 2 {
 		t.Fatal("missing reader must surface as drift")
-	}
-}
-
-func TestIncidentDetectorFlagsStorm(t *testing.T) {
-	k := sim.NewKernel(5)
-	net, err := topology.Build(k, topology.RackSpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector(k, 10*simtime.Millisecond)
-	for _, s := range net.Servers {
-		col.WatchNIC(s.NIC)
-	}
-	col.WatchSwitch(net.Tors[0])
-	// The paper's storm: >2000 pause frames/second = >20 per 10ms
-	// interval.
-	det := NewIncidentDetector(col, 20)
-	// Quiet fabric: no alerts.
-	k.RunUntil(simtime.Time(100 * simtime.Millisecond))
-	if alerts := det.Scan(k.Now()); len(alerts) != 0 {
-		t.Fatalf("false alerts: %v", alerts)
-	}
-	// A NIC storms.
-	net.Server(0, 0, 0).NIC.SetMalfunction(true)
-	k.RunUntil(simtime.Time(300 * simtime.Millisecond))
-	alerts := det.Scan(k.Now())
-	if len(alerts) == 0 {
-		t.Fatal("storm not detected")
-	}
-	found := false
-	for _, a := range alerts {
-		if strings.Contains(a.Reason, "pause storm") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no storm alert in %v", alerts)
 	}
 }
 
@@ -263,173 +188,6 @@ func TestPingmeshTimeoutSettlesProbe(t *testing.T) {
 	}
 	if pm.Failures[ScopeToR] != 2 {
 		t.Fatalf("failures = %d, want 2", pm.Failures[ScopeToR])
-	}
-}
-
-// TestIncidentDetectorHysteresis drives the armed detector through a
-// blip (no trigger), a sustained storm (trigger), and a calm stretch
-// (clear), checking the TriggerAfter/ClearAfter state machine.
-func TestIncidentDetectorHysteresis(t *testing.T) {
-	k := sim.NewKernel(10)
-	col := NewCollector(k, 10*simtime.Millisecond)
-	col.Watch("dev")
-	ctr := k.Metrics().Counter("dev/pause_rx")
-
-	det := NewIncidentDetector(col, 100)
-	det.TriggerAfter = 2
-	det.ClearAfter = 2
-	det.ClearBelow = 50
-	var triggered []Alert
-	var cleared []simtime.Time
-	det.OnTrigger = func(a Alert) { triggered = append(triggered, a) }
-	det.OnClear = func(at simtime.Time) { cleared = append(cleared, at) }
-	det.Arm().Arm() // double-arm must be a no-op
-	if _, ok := det.TriggeredAt(); ok {
-		t.Fatal("TriggeredAt reports a detection before any incident")
-	}
-
-	// Interval deltas seen at samples (every 10ms):
-	//   10ms: 150 (blip)   20ms: 0     → hot count must reset
-	//   30ms: 150          40ms: 150   → trigger at 40ms
-	//   50ms: 0            60ms: 0     → clear at 60ms
-	add := func(at simtime.Duration, n uint64) { k.After(at, func() { ctr.Add(n) }) }
-	add(1*simtime.Millisecond, 150)
-	add(21*simtime.Millisecond, 150)
-	add(31*simtime.Millisecond, 150)
-
-	k.RunUntil(simtime.Time(35 * simtime.Millisecond))
-	if len(triggered) != 0 {
-		t.Fatalf("blip must not trigger (TriggerAfter=2): %v", triggered)
-	}
-	k.RunUntil(simtime.Time(45 * simtime.Millisecond))
-	if len(triggered) != 1 || !det.Triggered() {
-		t.Fatalf("sustained storm must trigger once: %v", triggered)
-	}
-	if triggered[0].Device != "dev" || triggered[0].At != simtime.Time(40*simtime.Millisecond) {
-		t.Fatalf("trigger alert = %+v", triggered[0])
-	}
-	if at, ok := det.TriggeredAt(); !ok || at != simtime.Time(40*simtime.Millisecond) {
-		t.Fatalf("TriggeredAt = %v,%v, want 40ms,true", at, ok)
-	}
-	k.RunUntil(simtime.Time(55 * simtime.Millisecond))
-	if !det.Triggered() {
-		t.Fatal("one calm sample must not clear (ClearAfter=2)")
-	}
-	k.RunUntil(simtime.Time(65 * simtime.Millisecond))
-	if det.Triggered() || len(cleared) != 1 {
-		t.Fatalf("storm must clear after 2 calm samples: triggered=%v cleared=%v",
-			det.Triggered(), cleared)
-	}
-	if cleared[0] != simtime.Time(60*simtime.Millisecond) {
-		t.Fatalf("clear at %v, want 60ms", cleared[0])
-	}
-	if len(det.Alerts) != 1 {
-		t.Fatalf("alerts = %d, want 1", len(det.Alerts))
-	}
-}
-
-// TestDumpOnIncident wires a flight recorder to the armed detector and
-// checks the ring is dumped at trigger time — with the events that were
-// in flight when the incident opened, not whatever happens later.
-func TestDumpOnIncident(t *testing.T) {
-	k := sim.NewKernel(11)
-	col := NewCollector(k, 10*simtime.Millisecond)
-	col.Watch("dev")
-	ctr := k.Metrics().Counter("dev/pause_rx")
-
-	rec := flighttrace.NewRecorder(64).Attach(k.Trace(), telemetry.EvAll)
-	var dump bytes.Buffer
-	var order []string
-	det := NewIncidentDetector(col, 100)
-	det.OnTrigger = func(Alert) { order = append(order, "first") }
-	det.DumpOnIncident(rec, &dump)
-	det.Arm()
-
-	// Trace activity before the storm, then the storm itself.
-	k.After(1*simtime.Millisecond, func() {
-		k.Trace().Emit(telemetry.Event{Type: telemetry.EvPauseXOFF, Node: "dev", Port: 2, Pri: 3})
-		ctr.Add(500)
-	})
-	k.RunUntil(simtime.Time(15 * simtime.Millisecond))
-
-	if !det.Triggered() {
-		t.Fatal("storm did not trigger")
-	}
-	out := dump.String()
-	if !strings.Contains(out, "flight recorder dump") {
-		t.Fatalf("dump header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "pause storm: 500 pause frames") {
-		t.Fatalf("dump not headed by the alert:\n%s", out)
-	}
-	if !strings.Contains(out, "pause-xoff") || !strings.Contains(out, "dev") {
-		t.Fatalf("dump missing the recorded trace event:\n%s", out)
-	}
-	// A pre-installed OnTrigger must still run, before the dump.
-	if len(order) != 1 || order[0] != "first" {
-		t.Fatalf("existing OnTrigger not preserved: %v", order)
-	}
-}
-
-// TestIncidentDetectorBackToBackIncidents drives the detector through
-// two storms separated by a calm gap shorter than ClearAfter, then a
-// real clear, then a third storm: the second storm must fold into the
-// still-open incident (no duplicate page), and only after a genuine
-// clear does the next storm open a second incident.
-func TestIncidentDetectorBackToBackIncidents(t *testing.T) {
-	k := sim.NewKernel(12)
-	col := NewCollector(k, 10*simtime.Millisecond)
-	col.Watch("dev")
-	ctr := k.Metrics().Counter("dev/pause_rx")
-
-	det := NewIncidentDetector(col, 100)
-	det.TriggerAfter = 2
-	det.ClearAfter = 3
-	det.ClearBelow = 50
-	var triggers, clears int
-	det.OnTrigger = func(Alert) { triggers++ }
-	det.OnClear = func(simtime.Time) { clears++ }
-	det.Arm()
-
-	add := func(at simtime.Duration, n uint64) { k.After(at, func() { ctr.Add(n) }) }
-	// Storm 1: hot at 10,20ms → trigger at 20ms.
-	add(1*simtime.Millisecond, 150)
-	add(11*simtime.Millisecond, 150)
-	// Calm at 30,40ms — two samples, below ClearAfter=3: still open.
-	// Storm 2 (back to back): hot again at 50,60ms — the open incident
-	// absorbs it; no second alert.
-	add(41*simtime.Millisecond, 150)
-	add(51*simtime.Millisecond, 150)
-	// Calm at 70,80,90ms → clear at 90ms.
-	// Storm 3: hot at 100,110ms → a NEW incident at 110ms.
-	add(91*simtime.Millisecond, 150)
-	add(101*simtime.Millisecond, 150)
-
-	k.RunUntil(simtime.Time(45 * simtime.Millisecond))
-	if triggers != 1 || !det.Triggered() {
-		t.Fatalf("storm 1: triggers=%d triggered=%v, want one open incident", triggers, det.Triggered())
-	}
-	k.RunUntil(simtime.Time(65 * simtime.Millisecond))
-	if triggers != 1 {
-		t.Fatalf("back-to-back storm re-paged: triggers=%d, want 1 (incident still open)", triggers)
-	}
-	if !det.Triggered() {
-		t.Fatal("incident closed during a gap shorter than ClearAfter")
-	}
-	k.RunUntil(simtime.Time(95 * simtime.Millisecond))
-	if det.Triggered() || clears != 1 {
-		t.Fatalf("incident must clear after 3 calm samples: triggered=%v clears=%d", det.Triggered(), clears)
-	}
-	k.RunUntil(simtime.Time(115 * simtime.Millisecond))
-	if triggers != 2 || !det.Triggered() {
-		t.Fatalf("post-clear storm must open a second incident: triggers=%d", triggers)
-	}
-	if len(det.Alerts) != 2 {
-		t.Fatalf("alerts = %d, want 2", len(det.Alerts))
-	}
-	if det.Alerts[0].At != simtime.Time(20*simtime.Millisecond) ||
-		det.Alerts[1].At != simtime.Time(110*simtime.Millisecond) {
-		t.Fatalf("alert times = %v, %v; want 20ms, 110ms", det.Alerts[0].At, det.Alerts[1].At)
 	}
 }
 

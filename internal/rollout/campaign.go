@@ -157,7 +157,7 @@ func (c Campaign) Run() *Scorecard {
 	return sc
 }
 
-// Campaign timing. The rollout starts after four monitor intervals of
+// Campaign timing. The rollout starts after four scrape intervals of
 // baseline, and the run leaves ~60 ms after the last wave's gate for
 // rollback, settling and recovery scoring. Every controller instant is
 // offset one picosecond from the millisecond grid so no global
@@ -165,9 +165,12 @@ func (c Campaign) Run() *Scorecard {
 // observer-band scrapers — the ordering-tie rule differs between
 // sharded and unsharded execution, and never tying is what keeps the
 // scorecard byte-identical for any shard count (DESIGN.md §13).
+// The scrape interval is off the grid by one picosecond too, so scrapes
+// never tie with data events either.
 const (
-	rolloutStart = simtime.Time(40*simtime.Millisecond) + 1
-	campaignEnd  = simtime.Time(200 * simtime.Millisecond)
+	rolloutStart   = simtime.Time(40*simtime.Millisecond) + 1
+	campaignEnd    = simtime.Time(200 * simtime.Millisecond)
+	scrapeInterval = 10*simtime.Millisecond + 1
 )
 
 // runCase runs one Case in its own sharded kernel, seeded from the
@@ -189,12 +192,7 @@ func (c Campaign) runCase(cs Case) Cell {
 		ServersPerTor: 4, Spines: 2, LinkRate: 10 * simtime.Gbps,
 		ServerCableM: 2, LeafCableM: 20, SpineCableM: 300,
 	}
-	cfg := core.DefaultConfig(spec)
-	// One picosecond off the millisecond grid, same reason as
-	// rolloutStart: collector and scraper ticks never tie with data
-	// events.
-	cfg.MonitorInterval = 10*simtime.Millisecond + 1
-	d, err := core.New(k, cfg)
+	d, err := core.New(k, core.DefaultConfig(spec))
 	if err != nil {
 		panic(err)
 	}
@@ -240,7 +238,7 @@ func (c Campaign) runCase(cs Case) Cell {
 	// The SLO gate watches congestion drops on the lossless classes —
 	// the §6.2 signature — through the health plane's burn-rate engine.
 	hs := health.NewScraper(k, health.ScrapeConfig{
-		Interval: cfg.MonitorInterval,
+		Interval: scrapeInterval,
 		Filter: func(key string) bool {
 			return hasSuffix(key, "/lossless_drops")
 		},
@@ -248,7 +246,7 @@ func (c Campaign) runCase(cs Case) Cell {
 	eng := health.NewEngine(k, hs)
 	eng.Add(health.Objective{
 		Name: "lossless-drops", Bad: health.OverDelta(hs, "/lossless_drops", 1),
-		LongWindow: cfg.MonitorInterval,
+		LongWindow: scrapeInterval,
 	})
 	hs.Start()
 
@@ -256,7 +254,7 @@ func (c Campaign) runCase(cs Case) Cell {
 	var windows []float64
 	var windowEnd []simtime.Time
 	var lastBytes uint64
-	d.Mon.AfterSample(func(now simtime.Time) {
+	hs.OnScrape(func(now simtime.Time) {
 		var tot uint64
 		for _, st := range streams {
 			tot += st.Done * uint64(st.Size)
@@ -299,8 +297,7 @@ func (c Campaign) runCase(cs Case) Cell {
 	cell.Log = r.Log
 
 	// Goodput: baseline is the pre-rollout windows, final the last three.
-	interval := cfg.MonitorInterval.Seconds()
-	gbps := func(bytes float64) float64 { return bytes * 8 / interval / 1e9 }
+	gbps := func(bytes float64) float64 { return bytes * 8 / scrapeInterval.Seconds() / 1e9 }
 	var base []float64
 	for i, end := range windowEnd {
 		if !end.After(rolloutStart) {

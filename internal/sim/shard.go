@@ -41,10 +41,14 @@
 // experiment harness callbacks) single-threaded at the barrier: when
 // the group frontier reaches a global event's timestamp, every shard
 // has finished everything earlier, so the event may freely read or
-// schedule into any shard. Global events at instant t run before shard
-// events at t, matching the single-kernel order for the common case
-// (tickers re-armed a full period earlier carry a lower sequence number
-// than data events scheduled inside the last window).
+// schedule into any shard. Normal-band global events at instant t run
+// before shard events at t, matching the single-kernel order for the
+// common case (tickers re-armed a full period earlier carry a lower
+// sequence number than data events scheduled inside the last window).
+// Observer-band global events at t run after them, as on one kernel:
+// before each, every shard runs its events at t (a window inclusive
+// through t), so a telemetry scrape reads the completed instant at any
+// shard count.
 package sim
 
 import (
@@ -251,8 +255,14 @@ func (g *ShardGroup) runUntil(deadline simtime.Time) {
 		}
 		// Barrier work first: clocks to m, then global events at m. They
 		// may schedule anywhere — every shard is quiescent and caught up.
+		// An observer-band event reads the completed instant, so the
+		// shards first run their own events at m.
 		g.setNow(m)
 		for g.global.nextLiveAt() == m {
+			if g.global.queue[0].it.seq&observerBand != 0 {
+				g.runShards(m, true)
+				g.mergeOutboxes(m + 1)
+			}
 			g.global.Step()
 		}
 		// The shard window: [m, horizon), clamped so it never crosses the
@@ -270,18 +280,24 @@ func (g *ShardGroup) runUntil(deadline simtime.Time) {
 		if bound > deadline {
 			bound, inclusive = deadline, true
 		}
-		if len(g.shards) == 1 || g.traceActive() {
-			for _, s := range g.shards {
-				s.runWindow(bound, inclusive)
-			}
-		} else {
-			g.runWindowsParallel(bound, inclusive)
-		}
+		g.runShards(bound, inclusive)
 		g.mergeOutboxes(bound)
 	}
 	if deadline != simtime.Forever {
 		g.setNow(deadline)
 	}
+}
+
+// runShards runs one window on every shard: in shard order when there
+// is one shard or a trace subscriber, otherwise on the workers.
+func (g *ShardGroup) runShards(bound simtime.Time, inclusive bool) {
+	if len(g.shards) == 1 || g.traceActive() {
+		for _, s := range g.shards {
+			s.runWindow(bound, inclusive)
+		}
+		return
+	}
+	g.runWindowsParallel(bound, inclusive)
 }
 
 // runWindowsParallel dispatches one window to every shard worker and

@@ -221,3 +221,43 @@ func TestShardGroupSeqsAndAnnounceShared(t *testing.T) {
 		t.Fatalf("announce not group-scoped: %v", seen)
 	}
 }
+
+// observeScenario runs one instant T on the given kernels: kb bumps a
+// counter with a normal event at T, and the root reads it from two
+// observer-band events at T. The first observer also schedules a normal
+// event at T on kb (a second bump) and one on the root; both must run
+// before the second observer, as on a single kernel.
+func observeScenario(root, kb *Kernel) string {
+	const at = simtime.Time(500 * simtime.Nanosecond)
+	count := 0
+	bump := func(any) { count++ }
+	var log []string
+	kb.AtArg(at, bump, nil)
+	root.AtObserve(at, func() {
+		log = append(log, fmt.Sprintf("O1 saw %d", count))
+		root.ScheduleOn(kb, at, bump, nil)
+		root.At(at, func() { log = append(log, "N") })
+	})
+	root.AtObserve(at, func() { log = append(log, fmt.Sprintf("O2 saw %d", count)) })
+	root.RunUntil(simtime.Time(simtime.Microsecond))
+	return strings.Join(log, ", ")
+}
+
+// TestShardObserverSeesCompletedInstant: a global observer-band event
+// at T runs after every shard has run its events at T, as it runs after
+// every normal event of T on one kernel, and normal events an observer
+// schedules at T run before the instant's remaining observers.
+func TestShardObserverSeesCompletedInstant(t *testing.T) {
+	want := "O1 saw 1, N, O2 saw 2"
+	k := NewKernel(3)
+	if got := observeScenario(k, k); got != want {
+		t.Fatalf("single kernel: %s, want %s", got, want)
+	}
+	for _, n := range []int{1, 2, 4} {
+		g := NewShardGroup(3, n)
+		g.SetLookahead(100 * simtime.Nanosecond)
+		if got := observeScenario(g.Global(), g.Shard(n-1)); got != want {
+			t.Errorf("%d shards: %s, want %s", n, got, want)
+		}
+	}
+}

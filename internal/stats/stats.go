@@ -253,34 +253,6 @@ type Series struct {
 // Record appends a sample.
 func (s *Series) Record(v float64) { s.Samples = append(s.Samples, v) }
 
-// Max returns the largest sample (0 when empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, v := range s.Samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Sum returns the total of all samples.
-func (s *Series) Sum() float64 {
-	t := 0.0
-	for _, v := range s.Samples {
-		t += v
-	}
-	return t
-}
-
-// Mean returns the average sample (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.Samples))
-}
-
 // Sparkline renders the series as an ASCII sparkline for terminal report
 // output.
 func (s *Series) Sparkline(width int) string {

@@ -283,7 +283,6 @@ func runCellK(name string, seed int64, shards int, gpu, storage, misconfig bool)
 
 	spec := topology.RackSpec(rackServers)
 	cfg := core.DefaultConfig(spec)
-	cfg.MonitorInterval = 10*simtime.Millisecond + 1
 	cfg.SwitchTweak = plan.SwitchTweak
 	cfg.NICTweak = plan.NICTweak
 	d, err := core.New(k, cfg)

@@ -4,8 +4,10 @@
 // DCQCN, shared-buffer Clos fabrics, and the safety mechanisms the paper
 // introduces — go-back-N loss recovery, the ARP-incomplete drop rule
 // that prevents PFC deadlock, and the NIC/switch PFC storm watchdogs —
-// together with the monitoring systems (Pingmesh, counter collection,
-// configuration drift detection) the paper calls indispensable.
+// together with the monitoring systems the paper calls indispensable:
+// Pingmesh and configuration drift detection here, counter scraping and
+// SLO alerts through the health plane (internal/health) on the
+// cluster's Kernel.
 //
 // # Quick start
 //
@@ -203,9 +205,6 @@ func (q *QP) PingPong() workload.PingPong {
 func (c *Cluster) NewPingmesh() *monitor.Pingmesh {
 	return monitor.NewPingmesh(c.kernel, monitor.DefaultPingmesh())
 }
-
-// Monitor exposes the counter collector wired at build time.
-func (c *Cluster) Monitor() *monitor.Collector { return c.dep.Mon }
 
 // CheckDrift runs the configuration drift check.
 func (c *Cluster) CheckDrift() []monitor.Drift { return c.dep.CheckDrift() }
