@@ -47,7 +47,7 @@ func DefaultHealth(scenario string) HealthConfig {
 }
 
 // RunHealth builds the scenario fabric, wires the full health plane —
-// registry sketches fed by pingmesh RTTs, per-flow FCTs and MMU buffer
+// registry histograms fed by pingmesh RTTs, per-flow FCTs and MMU buffer
 // watermarks; a scraper on the monitor cadence; SLO objectives with
 // multi-window burn alerting; a ToR×ToR heatmap — injects the
 // scenario's fault, and returns the end-of-run health report.
@@ -104,11 +104,11 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 		cfg.Observe(k)
 	}
 
-	// Distribution sketches in the registry: pingmesh RTTs, per-flow
+	// Distribution histograms in the registry: pingmesh RTTs, per-flow
 	// FCTs, and switch shared-buffer watermarks.
-	rttSk := k.Metrics().Sketch("health/pingmesh_rtt_ps")
-	fctSk := k.Metrics().Sketch("health/fct_ps")
-	bufSk := k.Metrics().Sketch("health/buffer_shared_bytes")
+	rttH := k.Metrics().Histogram("health/pingmesh_rtt_ps")
+	fctH := k.Metrics().Histogram("health/fct_ps")
+	bufH := k.Metrics().Histogram("health/buffer_shared_bytes")
 
 	// Bulk traffic: pair server i of ToR 0 with server i of ToR 1, both
 	// directions through the victim server so every scenario's fault sits
@@ -121,7 +121,7 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 		qa, _ := d.Connect(net.Server(0, 0, i), net.Server(0, 1, i), core.ClassBulk)
 		st := &workload.Streamer{QP: qa, Size: size}
 		st.OnDone = func(posted, completed simtime.Time) {
-			fctSk.Observe(float64(completed.Sub(posted)))
+			fctH.Observe(float64(completed.Sub(posted)))
 			delivered += uint64(size)
 		}
 		streams = append(streams, st)
@@ -138,12 +138,12 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 		}
 	}
 
-	// Pingmesh across and within the two ToRs, feeding the RTT sketch
+	// Pingmesh across and within the two ToRs, feeding the RTT histogram
 	// and the ToR×ToR heatmap.
 	pm := monitor.NewPingmesh(k, monitor.DefaultPingmesh())
 	pm.OnResult = func(a, b *topology.Server, scope monitor.ProbeScope, rtt simtime.Duration, ok bool) {
 		if ok {
-			rttSk.Observe(float64(rtt))
+			rttH.Observe(float64(rtt))
 		}
 	}
 	heat := health.NewHeatmap(2,
@@ -157,7 +157,7 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	pm.Start()
 
 	// The scraper samples pause/drop counters as deltas plus the MMU
-	// watermark probes; the probe feeds the watermark sketch as a side
+	// watermark probes; the probe feeds the watermark histogram as a side
 	// effect so the distribution and the time series stay in lockstep.
 	sc := health.NewScraper(k, health.ScrapeConfig{
 		Interval: 10 * simtime.Millisecond,
@@ -169,7 +169,7 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 		mmu := sw.MMU()
 		sc.Probe("health/buffer_shared_bytes/"+sw.Name(), func() float64 {
 			v := float64(mmu.SharedUsed())
-			bufSk.Observe(v)
+			bufH.Observe(v)
 			return v
 		})
 	}
@@ -190,9 +190,9 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	})
 	eng.Add(health.Objective{
 		Name: "p99-rtt-1ms",
-		Bad:  health.LatencyOver(rttSk, float64(simtime.Millisecond)),
-		// Latency budget: up to 25% of probes per window may run long
-		// before the burn alert pages.
+		Bad:  health.LatencyOver(rttH, float64(simtime.Millisecond)),
+		// Under the shared 25% budget the alert pages once half of the
+		// probes run long on both burn windows.
 	})
 	var lastDelivered uint64
 	lastRate := func() float64 {
@@ -212,9 +212,9 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	rep.DurationNs = int64(cfg.Duration / simtime.Nanosecond)
 	rep.AddScraper(sc)
 	rep.AddEngine(eng)
-	rep.AddSketch("health/pingmesh_rtt_ps", rttSk)
-	rep.AddSketch("health/fct_ps", fctSk)
-	rep.AddSketch("health/buffer_shared_bytes", bufSk)
+	rep.AddHistogram("health/pingmesh_rtt_ps", rttH)
+	rep.AddHistogram("health/fct_ps", fctH)
+	rep.AddHistogram("health/buffer_shared_bytes", bufH)
 	rep.AddHeatmap(heat)
 	return rep, nil
 }

@@ -34,8 +34,7 @@ func healthReports(t *testing.T) []*health.Report {
 
 // TestHealthReportsByteDeterministic is the acceptance gate: both
 // scenarios, run twice from the same seed, render byte-identical text
-// AND JSON reports — the property `make health` re-checks on the
-// command's output.
+// AND JSON reports.
 func TestHealthReportsByteDeterministic(t *testing.T) {
 	r1, r2 := healthReports(t), runHealthAll(t)
 	if len(r1) != 2 || len(r2) != 2 {
@@ -53,9 +52,6 @@ func TestHealthReportsByteDeterministic(t *testing.T) {
 		j2, _ := r2[i].JSON()
 		if string(j1) != string(j2) {
 			t.Fatalf("%s JSON not byte-deterministic", r1[i].Scenario)
-		}
-		if d := r1[i].Diff(r2[i], 0.001); len(d) != 0 {
-			t.Fatalf("%s self-diff: %v", r1[i].Scenario, d)
 		}
 	}
 }

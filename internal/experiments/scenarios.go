@@ -197,7 +197,7 @@ var Scenarios = []Scenario{
 		Has: HasSeed | HasJSON, run: transports(false)},
 	{Name: "transports-quick", Doc: "the transport matrix on the storm and the incast",
 		Has: HasSeed | HasJSON, run: transports(true)},
-	{Name: "health", Doc: "fleet health reports: SLO burn, sketches, heatmap",
+	{Name: "health", Doc: "fleet health reports: SLO burn, histograms, heatmap",
 		Has: HasSeed | HasDuration | HasJSON | HasSLO, run: runHealthScenarios},
 	{Name: "rollout", Doc: "staged config rollouts with health-gated rollback",
 		Has: HasSeed | HasShards | HasJSON, run: runRollout},

@@ -208,11 +208,10 @@ func TestEngineBurnRateHysteresis(t *testing.T) {
 	// scrape interval it covers sees a delta of at least 100.
 	type storm struct{ from, to simtime.Duration }
 	for _, tc := range []struct {
-		name       string
-		long       simtime.Duration
-		clearAfter int
-		storms     []storm
-		want       []string // alerts in firing order
+		name   string
+		long   simtime.Duration
+		storms []storm
+		want   []string // alerts in firing order
 	}{
 		// Scrapes at 40/50/60ms see deltas ≥ 100. The short window (1
 		// scrape) burns 4 at 40ms; the long window (4 scrapes at the
@@ -220,15 +219,15 @@ func TestEngineBurnRateHysteresis(t *testing.T) {
 		// 2/4/0.25 = 2, so the breach opens at 50ms. The single bad
 		// scrape at 40ms burns the long window at only 1/4/0.25 = 1: a
 		// blip cannot page. Calm scrapes at 70 and 80ms clear it.
-		{"blip-cannot-page", 40 * ms, 2, []storm{{35 * ms, 64 * ms}},
+		{"blip-cannot-page", 40 * ms, []storm{{35 * ms, 64 * ms}},
 			[]string{"BREACH@50ms", "clear@80ms"}},
-		// One-scrape windows, so every hot scrape burns both. The two
-		// calm scrapes between the first two storms are fewer than
-		// ClearAfter: the second storm folds into the open breach, with
-		// no second page. Three calm scrapes then clear it, and the
-		// storm after that real clear opens a second breach.
-		{"back-to-back-storms", 10 * ms, 3, []storm{{0, 20 * ms}, {40 * ms, 60 * ms}, {90 * ms, 110 * ms}},
-			[]string{"BREACH@10ms", "clear@90ms", "BREACH@100ms", "clear@140ms"}},
+		// One-scrape windows, so every hot scrape burns both. The one
+		// calm scrape (30ms) between the first two storms is fewer than
+		// clearAfter: the second storm folds into the open breach, with
+		// no second page. Two calm scrapes (60 and 70ms) then clear it,
+		// and the storm after that real clear opens a second breach.
+		{"back-to-back-storms", 10 * ms, []storm{{0, 20 * ms}, {30 * ms, 50 * ms}, {80 * ms, 100 * ms}},
+			[]string{"BREACH@10ms", "clear@70ms", "BREACH@90ms", "clear@120ms"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel(7)
@@ -237,8 +236,7 @@ func TestEngineBurnRateHysteresis(t *testing.T) {
 			e := NewEngine(k, sc)
 			e.Add(Objective{
 				Name: "pause-ceiling", Bad: OverDelta(sc, "/pause_rx", 100),
-				Budget: 0.25, ShortWindow: 10 * ms,
-				LongWindow: tc.long, Burn: 2, ClearAfter: tc.clearAfter,
+				LongWindow: tc.long,
 			})
 			sc.Start()
 
@@ -298,19 +296,19 @@ func TestEngineBurnRateHysteresis(t *testing.T) {
 	}
 }
 
-// TestLatencyOverBadness: the sketch-delta badness function reports the
-// over-target fraction per interval and 0 on idle intervals.
+// TestLatencyOverBadness: the histogram-delta badness function reports
+// the over-target fraction per interval and 0 on idle intervals.
 func TestLatencyOverBadness(t *testing.T) {
-	sk := stats.NewSketch(0)
-	bad := LatencyOver(sk, 1000)
+	h := stats.NewHistogram()
+	bad := LatencyOver(h, 1000)
 	if got := bad(0); got != 0 {
 		t.Fatalf("idle interval badness = %g", got)
 	}
 	for i := 0; i < 8; i++ {
-		sk.Observe(500)
+		h.Observe(500)
 	}
-	sk.Observe(5000)
-	sk.Observe(6000)
+	h.Observe(5000)
+	h.Observe(6000)
 	if got := bad(0); got < 0.15 || got > 0.25 {
 		t.Fatalf("badness = %g, want ~0.2", got)
 	}
@@ -332,10 +330,10 @@ func TestBelowBadness(t *testing.T) {
 	}
 }
 
-// TestHeatmapRenderAndReportDiff builds a 2×2 heatmap by hand, renders
-// it, snapshots a report twice (byte-identical), and diffs against a
-// perturbed baseline.
-func TestHeatmapRenderAndReportDiff(t *testing.T) {
+// TestHeatmapReportText builds a 2×2 heatmap by hand, snapshots it
+// into a report twice, and checks the grid Report.Text draws: the p99
+// cell, the failure marker, and byte-identical text and JSON.
+func TestHeatmapReportText(t *testing.T) {
 	a := &topology.Server{TorIdx: 0}
 	b := &topology.Server{TorIdx: 1}
 	h := NewHeatmap(2, func(s *topology.Server) int { return s.TorIdx }, nil)
@@ -344,13 +342,6 @@ func TestHeatmapRenderAndReportDiff(t *testing.T) {
 		h.Observe(b, a, simtime.Duration(6*simtime.Microsecond), true)
 	}
 	h.Observe(a, b, 0, false)
-	out := h.Render()
-	if !strings.Contains(out, "!1") {
-		t.Fatalf("failure marker missing:\n%s", out)
-	}
-	if !strings.Contains(out, "6.0") {
-		t.Fatalf("p99 cell missing:\n%s", out)
-	}
 	p99, probes, fails := h.CellP99(0, 1)
 	if probes != 101 || fails != 1 || p99 < 3.9e6 || p99 > 4.1e6 {
 		t.Fatalf("cell = %g/%d/%d", p99, probes, fails)
@@ -359,14 +350,20 @@ func TestHeatmapRenderAndReportDiff(t *testing.T) {
 	mk := func() *Report {
 		r := NewReport("test", 1)
 		r.DurationNs = 1e9
-		sk := stats.NewSketch(0)
-		sk.Observe(1000)
-		r.AddSketch("rtt", sk)
+		rtt := stats.NewHistogram()
+		rtt.Observe(1000)
+		r.AddHistogram("rtt", rtt)
 		r.AddHeatmap(h)
 		return r
 	}
 	r1, r2 := mk(), mk()
-	if r1.Text() != r2.Text() {
+	out := r1.Text()
+	for _, want := range []string{"!1", "6.0", "g0", "g1"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("heatmap missing %q:\n%s", want, out)
+		}
+	}
+	if out != r2.Text() {
 		t.Fatal("report text not deterministic")
 	}
 	j1, err := r1.JSON()
@@ -376,39 +373,5 @@ func TestHeatmapRenderAndReportDiff(t *testing.T) {
 	j2, _ := r2.JSON()
 	if string(j1) != string(j2) {
 		t.Fatal("report JSON not deterministic")
-	}
-	if d := r1.Diff(r2, 0.01); len(d) != 0 {
-		t.Fatalf("self-diff = %v", d)
-	}
-
-	// Perturb the baseline: breach flip + p99 shift beyond tolerance.
-	base := mk()
-	base.Breached = true
-	base.Sketches[0].P99 *= 2
-	base.Heatmap[0][1].Fails = 0
-	d := r1.Diff(base, 0.01)
-	if len(d) != 3 {
-		t.Fatalf("diff = %v, want 3 drifts", d)
-	}
-
-	// Set drift must be symmetric: a renamed sketch registers both as
-	// new-in-report and missing-from-baseline, and relabeled heatmap
-	// groups register per label.
-	base = mk()
-	base.Sketches[0].Name = "fct"
-	base.HeatLabels[1] = "pod-9"
-	d = r1.Diff(base, 0.01)
-	want := []string{"sketch rtt: not in baseline", "sketch fct: missing from report",
-		"heatmap label[1]"}
-	for _, w := range want {
-		found := false
-		for _, line := range d {
-			if strings.Contains(line, w) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("diff missing %q: %v", w, d)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package health
 
 import (
 	"fmt"
-	"strings"
 
 	"rocesim/internal/monitor"
 	"rocesim/internal/simtime"
@@ -12,8 +11,9 @@ import (
 
 // Heatmap aggregates pingmesh probe results into a group×group grid —
 // the pod×pod (or ToR×ToR) latency heatmap of the paper's Pingmesh
-// paper lineage: each cell holds a mergeable RTT sketch plus probe and
-// failure counts for the source→destination group pair.
+// paper lineage: each cell holds an RTT histogram plus probe and
+// failure counts for the source→destination group pair. Report.AddHeatmap
+// snapshots the grid and Report.Text draws it.
 type Heatmap struct {
 	n     int
 	group func(*topology.Server) int
@@ -23,7 +23,7 @@ type Heatmap struct {
 }
 
 type heatCell struct {
-	rtt    *stats.Sketch
+	rtt    *stats.Histogram
 	probes uint64
 	fails  uint64
 }
@@ -67,7 +67,7 @@ func (h *Heatmap) Observe(a, b *topology.Server, rtt simtime.Duration, ok bool) 
 		return
 	}
 	if c.rtt == nil {
-		c.rtt = stats.NewSketch(0)
+		c.rtt = stats.NewHistogram()
 	}
 	c.rtt.Observe(float64(rtt))
 }
@@ -80,39 +80,4 @@ func (h *Heatmap) CellP99(i, j int) (p99 float64, probes, fails uint64) {
 		p99 = c.rtt.Quantile(0.99)
 	}
 	return p99, c.probes, c.fails
-}
-
-// N returns the group count.
-func (h *Heatmap) N() int { return h.n }
-
-// Render draws the grid: p99 RTT in microseconds per source
-// (row) → destination (column) pair, "-" for unprobed cells, and a
-// "!k" suffix counting failed probes. Byte-deterministic.
-func (h *Heatmap) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s", "p99us")
-	for j := 0; j < h.n; j++ {
-		fmt.Fprintf(&b, " %10s", h.label(j))
-	}
-	b.WriteByte('\n')
-	for i := 0; i < h.n; i++ {
-		fmt.Fprintf(&b, "%-8s", h.label(i))
-		for j := 0; j < h.n; j++ {
-			c := h.cells[i][j]
-			cell := "-"
-			if c.probes > 0 {
-				if c.rtt != nil && c.rtt.Count() > 0 {
-					cell = fmt.Sprintf("%.1f", c.rtt.Quantile(0.99)/1e6)
-				} else {
-					cell = "x" // every probe failed
-				}
-				if c.fails > 0 {
-					cell += fmt.Sprintf("!%d", c.fails)
-				}
-			}
-			fmt.Fprintf(&b, " %10s", cell)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

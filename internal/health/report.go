@@ -11,8 +11,7 @@ import (
 )
 
 // round3 quantizes report floats to 3 decimals so reports stay stable
-// under float-formatting differences and baseline diffs compare real
-// drift, not representation noise.
+// under float-formatting differences.
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
 // ns converts a picosecond simulated timestamp to nanoseconds, the unit
@@ -28,8 +27,8 @@ type SeriesSummary struct {
 	Last float64 `json:"last"`
 }
 
-// SketchSummary is one latency/size distribution's summary.
-type SketchSummary struct {
+// Distribution is one latency/size histogram's summary.
+type Distribution struct {
 	Name  string  `json:"name"`
 	Count uint64  `json:"count"`
 	P50   float64 `json:"p50"`
@@ -55,27 +54,26 @@ type AlertRecord struct {
 }
 
 // Report is a deterministic end-of-run health report: two runs from the
-// same seed produce byte-identical Text and JSON renderings, so reports
-// diff cleanly against stored golden baselines.
+// same seed produce byte-identical Text and JSON renderings.
 type Report struct {
-	Scenario   string            `json:"scenario"`
-	Seed       int64             `json:"seed"`
-	DurationNs int64             `json:"durationNs"`
-	Scrapes    uint64            `json:"scrapes"`
-	Breached   bool              `json:"breached"` // any objective ever breached
-	Objectives []ObjectiveStatus `json:"objectives"`
-	Series     []SeriesSummary   `json:"series"`
-	Sketches   []SketchSummary   `json:"sketches"`
-	HeatLabels []string          `json:"heatLabels,omitempty"`
-	Heatmap    [][]HeatCell      `json:"heatmap,omitempty"`
-	Alerts     []AlertRecord     `json:"alerts"`
+	Scenario      string            `json:"scenario"`
+	Seed          int64             `json:"seed"`
+	DurationNs    int64             `json:"durationNs"`
+	Scrapes       uint64            `json:"scrapes"`
+	Breached      bool              `json:"breached"` // any objective ever breached
+	Objectives    []ObjectiveStatus `json:"objectives"`
+	Series        []SeriesSummary   `json:"series"`
+	Distributions []Distribution    `json:"sketches"`
+	HeatLabels    []string          `json:"heatLabels,omitempty"`
+	Heatmap       [][]HeatCell      `json:"heatmap,omitempty"`
+	Alerts        []AlertRecord     `json:"alerts"`
 }
 
 // NewReport starts an empty report.
 func NewReport(scenario string, seed int64) *Report {
 	return &Report{Scenario: scenario, Seed: seed,
 		Objectives: []ObjectiveStatus{}, Series: []SeriesSummary{},
-		Sketches: []SketchSummary{}, Alerts: []AlertRecord{}}
+		Distributions: []Distribution{}, Alerts: []AlertRecord{}}
 }
 
 // AddScraper summarizes every scraped series (in the scraper's
@@ -108,12 +106,12 @@ func (r *Report) AddEngine(e *Engine) *Report {
 	return r
 }
 
-// AddSketch summarizes one distribution under name.
-func (r *Report) AddSketch(name string, sk *stats.Sketch) *Report {
-	r.Sketches = append(r.Sketches, SketchSummary{
-		Name: name, Count: sk.Count(),
-		P50: round3(sk.Quantile(0.50)), P99: round3(sk.Quantile(0.99)),
-		P999: round3(sk.Quantile(0.999)), Max: round3(sk.Max()),
+// AddHistogram summarizes one distribution under name.
+func (r *Report) AddHistogram(name string, h *stats.Histogram) *Report {
+	r.Distributions = append(r.Distributions, Distribution{
+		Name: name, Count: h.Count(),
+		P50: round3(h.Quantile(0.50)), P99: round3(h.Quantile(0.99)),
+		P999: round3(h.Quantile(0.999)), Max: round3(h.Max()),
 	})
 	return r
 }
@@ -160,9 +158,9 @@ func (r *Report) Text() string {
 				o.Name, state, detect, o.Breaches, o.BurnShort, o.BurnLong)
 		}
 	}
-	if len(r.Sketches) > 0 {
+	if len(r.Distributions) > 0 {
 		b.WriteString("distributions:\n")
-		for _, s := range r.Sketches {
+		for _, s := range r.Distributions {
 			fmt.Fprintf(&b, "  %-32s n=%d p50=%g p99=%g p99.9=%g max=%g\n",
 				s.Name, s.Count, s.P50, s.P99, s.P999, s.Max)
 		}
@@ -209,91 +207,3 @@ func (r *Report) Text() string {
 
 // JSON renders the report as deterministic indented JSON.
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
-
-// relDiff is the relative difference of two values (absolute when the
-// baseline is ~0).
-func relDiff(got, want float64) float64 {
-	d := math.Abs(got - want)
-	if math.Abs(want) < 1e-9 {
-		return d
-	}
-	return d / math.Abs(want)
-}
-
-// Diff compares the report against a stored golden baseline, returning
-// one line per drift: breach-state flips, objective set changes,
-// distribution quantiles or heatmap cells off by more than tol
-// (relative). An empty result means the fleet looks like the baseline.
-func (r *Report) Diff(baseline *Report, tol float64) []string {
-	var out []string
-	if r.Breached != baseline.Breached {
-		out = append(out, fmt.Sprintf("breached: %v, baseline %v", r.Breached, baseline.Breached))
-	}
-	base := make(map[string]ObjectiveStatus, len(baseline.Objectives))
-	for _, o := range baseline.Objectives {
-		base[o.Name] = o
-	}
-	for _, o := range r.Objectives {
-		bo, ok := base[o.Name]
-		if !ok {
-			out = append(out, fmt.Sprintf("objective %s: not in baseline", o.Name))
-			continue
-		}
-		delete(base, o.Name)
-		if o.EverBreached != bo.EverBreached {
-			out = append(out, fmt.Sprintf("objective %s: everBreached %v, baseline %v",
-				o.Name, o.EverBreached, bo.EverBreached))
-		}
-	}
-	for _, o := range baseline.Objectives {
-		if _, gone := base[o.Name]; gone {
-			out = append(out, fmt.Sprintf("objective %s: missing from report", o.Name))
-		}
-	}
-	bs := make(map[string]SketchSummary, len(baseline.Sketches))
-	for _, s := range baseline.Sketches {
-		bs[s.Name] = s
-	}
-	for _, s := range r.Sketches {
-		b, ok := bs[s.Name]
-		if !ok {
-			out = append(out, fmt.Sprintf("sketch %s: not in baseline", s.Name))
-			continue
-		}
-		delete(bs, s.Name)
-		if d := relDiff(s.P99, b.P99); d > tol {
-			out = append(out, fmt.Sprintf("sketch %s: p99 %g, baseline %g (rel %.3f > %.3f)",
-				s.Name, s.P99, b.P99, d, tol))
-		}
-	}
-	for _, s := range baseline.Sketches {
-		if _, gone := bs[s.Name]; gone {
-			out = append(out, fmt.Sprintf("sketch %s: missing from report", s.Name))
-		}
-	}
-	if len(r.Heatmap) == len(baseline.Heatmap) {
-		for i := range r.HeatLabels {
-			if i < len(baseline.HeatLabels) && r.HeatLabels[i] != baseline.HeatLabels[i] {
-				out = append(out, fmt.Sprintf("heatmap label[%d]: %s, baseline %s",
-					i, r.HeatLabels[i], baseline.HeatLabels[i]))
-			}
-		}
-		for i := range r.Heatmap {
-			for j := range r.Heatmap[i] {
-				g, w := r.Heatmap[i][j], baseline.Heatmap[i][j]
-				if g.Fails != w.Fails {
-					out = append(out, fmt.Sprintf("heatmap[%d][%d]: %d fails, baseline %d",
-						i, j, g.Fails, w.Fails))
-				}
-				if d := relDiff(g.P99Us, w.P99Us); d > tol {
-					out = append(out, fmt.Sprintf("heatmap[%d][%d]: p99 %gus, baseline %gus (rel %.3f > %.3f)",
-						i, j, g.P99Us, w.P99Us, d, tol))
-				}
-			}
-		}
-	} else if len(baseline.Heatmap) > 0 || len(r.Heatmap) > 0 {
-		out = append(out, fmt.Sprintf("heatmap: %d groups, baseline %d",
-			len(r.Heatmap), len(baseline.Heatmap)))
-	}
-	return out
-}

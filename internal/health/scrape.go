@@ -10,26 +10,19 @@ import (
 
 // ScrapeConfig tunes the scraper.
 type ScrapeConfig struct {
-	// Interval is the scrape cadence in simulated time.
+	// Interval is the scrape cadence in simulated time (default 10ms,
+	// the paper's counter collection cadence scaled down with everything
+	// else; the real systems use seconds to minutes).
 	Interval simtime.Duration
-	// RawCap/MidCap/CoarseCap bound each series' retention ladder
-	// (buckets per tier; see TieredSeries).
-	RawCap, MidCap, CoarseCap int
 	// Filter, when set, selects which registry keys are scraped. Nil
 	// scrapes every counter and gauge — fine for small fabrics, wasteful
 	// for chaos campaigns that only watch pause and drop counters.
 	Filter func(key string) bool
 }
 
-// DefaultScrape matches the monitoring cadence of the paper's counter
-// collection (10ms simulated; the real systems use seconds-to-minutes,
-// scaled down with everything else).
-func DefaultScrape() ScrapeConfig {
-	return ScrapeConfig{
-		Interval: 10 * simtime.Millisecond,
-		RawCap:   512, MidCap: 256, CoarseCap: 256,
-	}
-}
+// rawCap, midCap and coarseCap bound every scraped and SLO series'
+// retention ladder (buckets per tier; see TieredSeries).
+const rawCap, midCap, coarseCap = 512, 256, 256
 
 type probeEntry struct {
 	name string
@@ -82,17 +75,7 @@ type Scraper struct {
 // begin scraping.
 func NewScraper(k *sim.Kernel, cfg ScrapeConfig) *Scraper {
 	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultScrape().Interval
-	}
-	d := DefaultScrape()
-	if cfg.RawCap <= 0 {
-		cfg.RawCap = d.RawCap
-	}
-	if cfg.MidCap <= 0 {
-		cfg.MidCap = d.MidCap
-	}
-	if cfg.CoarseCap <= 0 {
-		cfg.CoarseCap = d.CoarseCap
+		cfg.Interval = 10 * simtime.Millisecond
 	}
 	return &Scraper{
 		k: k, cfg: cfg,
@@ -134,7 +117,7 @@ func (s *Scraper) series(name string) *TieredSeries {
 	ts, ok := s.Series[name]
 	if !ok {
 		name = strings.Clone(name)
-		ts = NewTieredSeries(name, s.cfg.RawCap, s.cfg.MidCap, s.cfg.CoarseCap)
+		ts = NewTieredSeries(name, rawCap, midCap, coarseCap)
 		s.Series[name] = ts
 		s.Keys = append(s.Keys, name)
 	}
@@ -152,8 +135,8 @@ func (s *Scraper) resolve(reg *telemetry.Registry) {
 	}
 	s.metrics = s.metrics[:0]
 	for _, e := range reg.Snapshot().Entries {
-		// Histograms and sketches are cumulative distributions;
-		// windowed objectives read them directly (see LatencyOver).
+		// Histograms are cumulative distributions; windowed
+		// objectives read them directly (see LatencyOver).
 		if e.Kind != telemetry.KindCounter && e.Kind != telemetry.KindGauge ||
 			s.cfg.Filter != nil && !s.cfg.Filter(e.Key) {
 			continue

@@ -14,28 +14,32 @@ import (
 // interval, a window of over-target probes), 0 means fully healthy.
 // The engine records badness into a tiered series and alerts on
 // multi-window burn rate: the objective breaches when the average
-// badness over BOTH the short and the long window exceeds Burn×Budget
-// (short window for fast detection, long window so a single blip can't
-// page), and clears only after ClearAfter consecutive calm scrapes.
-// With both windows one scrape long, an objective is a per-interval
-// threshold detector with ClearAfter hysteresis.
+// badness over BOTH the short window (one scrape) and the long window
+// exceeds burnThreshold×budget (short window for fast detection, long
+// window so a single blip can't page), and clears only after
+// clearAfter consecutive calm scrapes. With a one-scrape long window,
+// an objective is a per-interval threshold detector with clearAfter
+// hysteresis.
 type Objective struct {
 	Name string
 	Bad  func(now simtime.Time) float64
 
-	// Budget is the error budget: the bad fraction the objective
-	// tolerates in steady state (default 0.25).
-	Budget float64
-	// ShortWindow/LongWindow are the burn-rate windows (defaults: one
-	// and four scrape intervals).
-	ShortWindow, LongWindow simtime.Duration
-	// Burn is the burn-rate threshold (default 2: consuming budget at
-	// twice the sustainable rate on both windows opens a breach).
-	Burn float64
-	// ClearAfter is how many consecutive calm scrapes close a breach
-	// (default 2).
-	ClearAfter int
+	// LongWindow is the long burn-rate window (default four scrape
+	// intervals).
+	LongWindow simtime.Duration
 }
+
+// Every objective shares one error budget, burn threshold and clear
+// hysteresis.
+const (
+	// budget is the bad fraction an objective tolerates in steady state.
+	budget = 0.25
+	// burnThreshold: consuming budget at twice the sustainable rate on
+	// both windows opens a breach.
+	burnThreshold = 2
+	// clearAfter is how many consecutive calm scrapes close a breach.
+	clearAfter = 2
+)
 
 // SLOAlert is announced on the kernel bus whenever an objective
 // breaches or clears. Subscribers (the chaos campaign's time-to-detect
@@ -96,25 +100,12 @@ func (e *Engine) Add(o Objective) {
 	if o.Bad == nil {
 		panic("health: objective without a Bad function")
 	}
-	if o.Budget <= 0 {
-		o.Budget = 0.25
-	}
-	if o.ShortWindow <= 0 {
-		o.ShortWindow = e.sc.Interval()
-	}
 	if o.LongWindow <= 0 {
 		o.LongWindow = 4 * e.sc.Interval()
 	}
-	if o.Burn <= 0 {
-		o.Burn = 2
-	}
-	if o.ClearAfter <= 0 {
-		o.ClearAfter = 2
-	}
-	cfg := e.sc.cfg
 	e.objs = append(e.objs, &objState{
 		Objective: o,
-		series:    NewTieredSeries("slo/"+o.Name, cfg.RawCap, cfg.MidCap, cfg.CoarseCap),
+		series:    NewTieredSeries("slo/"+o.Name, rawCap, midCap, coarseCap),
 	})
 }
 
@@ -129,9 +120,9 @@ func (e *Engine) step(now simtime.Time) {
 			bad = 1
 		}
 		o.series.Record(now, bad)
-		o.lastShort = e.burn(o, now, o.ShortWindow)
+		o.lastShort = e.burn(o, now, e.sc.Interval())
 		o.lastLong = e.burn(o, now, o.LongWindow)
-		hot := o.lastShort >= o.Burn && o.lastLong >= o.Burn
+		hot := o.lastShort >= burnThreshold && o.lastLong >= burnThreshold
 		if !o.breached {
 			if hot {
 				o.breached, o.calm = true, 0
@@ -148,7 +139,7 @@ func (e *Engine) step(now simtime.Time) {
 			o.calm = 0
 			continue
 		}
-		if o.calm++; o.calm >= o.ClearAfter {
+		if o.calm++; o.calm >= clearAfter {
 			o.breached, o.calm = false, 0
 			e.fire(SLOAlert{At: now, Objective: o.Name, Cleared: true,
 				BurnShort: o.lastShort, BurnLong: o.lastLong})
@@ -185,7 +176,7 @@ func (e *Engine) burn(o *objState, now simtime.Time, w simtime.Duration) float64
 	if expected := float64(w / e.sc.Interval()); expected > div {
 		div = expected
 	}
-	return b.Sum / div / o.Budget
+	return b.Sum / div / budget
 }
 
 // Breached reports whether any objective is currently in breach.
@@ -272,14 +263,15 @@ func OverDelta(sc *Scraper, suffix string, max float64) func(simtime.Time) float
 }
 
 // LatencyOver builds a badness function from a cumulative latency
-// sketch: the fraction of samples recorded since the previous scrape
+// histogram: the fraction of samples recorded since the previous scrape
 // that exceed target (0 when the interval saw no samples). This is the
-// per-priority p99 latency objective shape: with Budget 0.01, burning
-// budget means more than 1% of RTTs over target.
-func LatencyOver(sk *stats.Sketch, target float64) func(simtime.Time) float64 {
+// p99 latency objective shape: an interval with a quarter of its probes
+// over target burns budget at rate 1, and half of them at the breach
+// threshold.
+func LatencyOver(h *stats.Histogram, target float64) func(simtime.Time) float64 {
 	var lastTotal, lastAbove uint64
 	return func(simtime.Time) float64 {
-		total, above := sk.Count(), sk.CountAbove(target)
+		total, above := h.Count(), h.CountAbove(target)
 		dt, da := total-lastTotal, above-lastAbove
 		lastTotal, lastAbove = total, above
 		if dt == 0 {

@@ -78,7 +78,7 @@ type Pingmesh struct {
 
 	// OnResult, when set, observes every settled probe: ok=true with the
 	// measured RTT on an answer, ok=false (rtt=Timeout) on a timeout. The
-	// health plane's heatmap and sketches feed off this hook instead of
+	// health plane's heatmap and RTT histogram feed off this hook instead of
 	// re-probing the fabric. In a sharded run the ok=true call executes
 	// on the answering pair's client shard, so the hook must either be
 	// nil or touch only state owned by that shard; the health plane

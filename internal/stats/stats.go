@@ -1,56 +1,70 @@
 // Package stats provides the measurement primitives the monitoring system
-// and the experiment harnesses share: streaming log-bucketed histograms
-// for latency percentiles, windowed counters for pause-frame and traffic
-// time series, and simple rate/goodput accounting.
+// and the experiment harnesses share: a streaming log-bucketed histogram
+// for latency percentiles and fixed-interval time series for pause-frame
+// and traffic plots.
 package stats
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
 )
 
+// gamma is the histogram bucket ratio: bucket i holds the positive
+// samples in (gamma^(i-1), gamma^i].
+const gamma = 1.02
+
+var logGamma = math.Log(gamma)
+
+// bucket returns the index of the bucket covering v > 0.
+func bucket(v float64) int { return int(math.Ceil(math.Log(v) / logGamma)) }
+
+// midpoint returns bucket i's geometric midpoint, gamma^(i-1/2): within
+// a factor sqrt(gamma) of every value in the bucket.
+func midpoint(i int) float64 {
+	up := math.Pow(gamma, float64(i))
+	return math.Sqrt(up * (up / gamma))
+}
+
 // Histogram is a streaming histogram with logarithmic buckets, suitable
 // for latency distributions spanning nanoseconds to seconds. Buckets
-// grow by a fixed factor gamma = 1.02, so any reported quantile is
-// within one bucket of the true value: relative error < 2%.
+// grow by a fixed factor gamma = 1.02 and a quantile reports its
+// bucket's geometric midpoint, so it is within a factor sqrt(1.02) (<1%)
+// of the true sample at its rank. Non-positive samples (same-host
+// loopback) are counted apart and answer 0. Two histograms over
+// disjoint samples merge by bucket addition into exactly the histogram
+// of the pooled samples, which is how per-shard pingmesh RTTs fold.
 type Histogram struct {
-	gamma   float64
-	logG    float64
-	counts  map[int]uint64
-	total   uint64
-	sum     float64
-	min     float64
-	max     float64
-	hasData bool
+	counts map[int]uint64 // positive samples per bucket
+	zero   uint64         // samples <= 0
+	total  uint64
+	sum    float64
+	min    float64
+	max    float64
 }
 
-// NewHistogram returns an empty histogram with gamma = 1.02 buckets
-// (< 2% relative quantile error).
+// NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	g := 1.02
-	return &Histogram{gamma: g, logG: math.Log(g), counts: make(map[int]uint64)}
+	return &Histogram{counts: make(map[int]uint64)}
 }
 
-// Observe records a sample. Non-positive samples are clamped into the
-// smallest bucket (latencies are always positive; zero can occur for
-// same-host loopback).
+// Observe records a sample.
 func (h *Histogram) Observe(v float64) {
-	idx := 0
 	if v > 0 {
-		idx = int(math.Ceil(math.Log(v) / h.logG))
+		h.counts[bucket(v)]++
+	} else {
+		h.zero++
 	}
-	h.counts[idx]++
-	h.total++
-	h.sum += v
-	if !h.hasData || v < h.min {
+	if h.total == 0 || v < h.min {
 		h.min = v
 	}
-	if !h.hasData || v > h.max {
+	if h.total == 0 || v > h.max {
 		h.max = v
 	}
-	h.hasData = true
+	h.total++
+	h.sum += v
 }
 
 // Count returns the number of samples recorded.
@@ -70,8 +84,9 @@ func (h *Histogram) Min() float64 { return h.min }
 // Max returns the largest sample (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
 
-// Quantile returns an estimate of the q-quantile (q in [0,1]). It returns
-// 0 for an empty histogram.
+// Quantile estimates the q-quantile (q in [0,1]): the sample at rank
+// ceil(q·n), to bucket resolution. It returns 0 for an empty histogram
+// and when that sample is non-positive, and the exact maximum at q = 1.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -82,110 +97,109 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
+	rank := uint64(math.Ceil(q * float64(h.total)))
+	if rank == 0 {
+		rank = 1
+	}
+	if rank <= h.zero {
+		return 0
+	}
+	if rank >= h.total {
+		return h.max
+	}
 	idxs := make([]int, 0, len(h.counts))
 	for i := range h.counts {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank == 0 {
-		rank = 1
-	}
-	if rank >= h.total {
-		return h.max
-	}
-	var cum uint64
+	cum := h.zero
 	for _, i := range idxs {
 		cum += h.counts[i]
 		if cum >= rank {
-			if i == 0 {
-				return h.min
-			}
-			// Bucket upper bound gamma^i; return geometric midpoint.
-			up := math.Pow(h.gamma, float64(i))
-			lo := up / h.gamma
-			v := math.Sqrt(up * lo)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			// Clamping into [min, max] only moves the estimate toward
+			// the true sample.
+			return min(max(midpoint(i), h.min), h.max)
 		}
 	}
 	return h.max
 }
 
-// Percentile is shorthand for Quantile(p/100).
-func (h *Histogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
+// CountAbove returns how many samples exceed x, to bucket resolution:
+// the samples sharing x's bucket count as above when x lies below the
+// bucket's midpoint. Every positive sample exceeds 0, and every sample
+// counts as above a negative x. The SLO engine reads it for "fraction
+// of probes over target" objectives.
+func (h *Histogram) CountAbove(x float64) uint64 {
+	switch {
+	case x < 0:
+		return h.total
+	case x == 0:
+		return h.total - h.zero
+	}
+	var above uint64
+	bx := bucket(x)
+	for i, c := range h.counts {
+		if i > bx || i == bx && x < midpoint(i) {
+			above += c
+		}
+	}
+	return above
+}
 
 // Merge adds all samples of o into h.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.total == 0 {
 		return
 	}
-	if o.gamma != h.gamma {
-		panic("stats: merging histograms with different gamma")
-	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	h.total += o.total
-	h.sum += o.sum
-	if !h.hasData || o.min < h.min {
+	if h.total == 0 || o.min < h.min {
 		h.min = o.min
 	}
-	if !h.hasData || o.max > h.max {
+	if h.total == 0 || o.max > h.max {
 		h.max = o.max
 	}
-	h.hasData = true
+	h.zero += o.zero
+	h.total += o.total
+	h.sum += o.sum
 }
 
 // Clone returns an independent copy of h — the snapshot a windowed
 // comparison (rollout health gates) takes before more samples arrive.
 func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{
-		gamma: h.gamma, logG: h.logG,
-		counts: make(map[int]uint64, len(h.counts)),
-		total:  h.total, sum: h.sum,
-		min: h.min, max: h.max, hasData: h.hasData,
-	}
-	for i, n := range h.counts {
-		c.counts[i] = n
-	}
-	return c
+	c := *h
+	c.counts = maps.Clone(h.counts)
+	return &c
 }
 
 // Since returns the samples h has accumulated beyond the earlier
 // snapshot prev (taken with Clone from this same histogram): a
-// bucket-wise difference. Min/max of the window are approximated by the
-// window's occupied bucket bounds; quantiles are exact to bucket
-// resolution, which is what windowed gating needs.
+// bucket-wise difference. Min/max of the window are approximated by its
+// occupied buckets' upper bounds (0 for non-positive samples); quantiles
+// are exact to bucket resolution, which is what windowed gating needs.
 func (h *Histogram) Since(prev *Histogram) *Histogram {
 	if prev == nil {
 		return h.Clone()
 	}
-	if prev.gamma != h.gamma {
-		panic("stats: diffing histograms with different gamma")
-	}
 	w := NewHistogram()
+	w.zero = h.zero - prev.zero
+	w.total = w.zero
 	for i, n := range h.counts {
 		d := n - prev.counts[i]
 		if d == 0 {
 			continue
 		}
 		w.counts[i] = d
-		w.total += d
-		v := math.Pow(w.gamma, float64(i))
+		v := math.Pow(gamma, float64(i))
 		w.sum += v * float64(d)
-		if !w.hasData || v < w.min {
+		if w.total == 0 || v < w.min {
 			w.min = v
 		}
-		if !w.hasData || v > w.max {
+		if w.total == 0 || v > w.max {
 			w.max = v
 		}
-		w.hasData = true
+		w.total += d
 	}
 	return w
 }
@@ -198,49 +212,6 @@ func (h *Histogram) Summary(div float64, unit string) string {
 		h.total, h.min/div, unit, h.Quantile(0.50)/div, unit,
 		h.Quantile(0.99)/div, unit, h.Quantile(0.999)/div, unit, h.max/div, unit)
 }
-
-// CDF returns (value, cumulative fraction) points for plotting, one per
-// occupied bucket in ascending order.
-func (h *Histogram) CDF() (xs, ys []float64) {
-	if h.total == 0 {
-		return nil, nil
-	}
-	idxs := make([]int, 0, len(h.counts))
-	for i := range h.counts {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var cum uint64
-	for _, i := range idxs {
-		cum += h.counts[i]
-		v := math.Pow(h.gamma, float64(i))
-		if v > h.max {
-			v = h.max
-		}
-		if v < h.min {
-			v = h.min
-		}
-		xs = append(xs, v)
-		ys = append(ys, float64(cum)/float64(h.total))
-	}
-	return xs, ys
-}
-
-// Counter is a monotonically increasing counter with optional windowed
-// sampling into a time series (the shape of the paper's "pause frames per
-// 5 minutes" plots).
-type Counter struct {
-	value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.value++ }
-
-// Value returns the current total.
-func (c *Counter) Value() uint64 { return c.value }
 
 // Series is a fixed-interval time series of counter deltas or gauge
 // samples.
@@ -295,24 +266,4 @@ func (s *Series) Sparkline(width int) string {
 		b.WriteRune(marks[i])
 	}
 	return b.String()
-}
-
-// MeanStd returns the sample mean and standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, v := range xs {
-		d := v - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / float64(len(xs)-1))
 }

@@ -94,7 +94,7 @@ func catch(f func()) (msg string) {
 
 // FuzzRegistry drives the block registry and the map-keyed reference
 // through the same registrations, decoded five bytes per operation:
-// single counters, gauges, histograms and sketches and counter and
+// single counters, gauges and histograms and counter and
 // gauge blocks, with and without block and member labels, plus counter
 // increments, gauge and histogram changes, and Has, Reader and Len on
 // labeled and unlabeled keys. A registration that panics on one side
@@ -111,8 +111,6 @@ func FuzzRegistry(f *testing.F) {
 			refCtrs []*refCounter
 			hists   []*stats.Histogram
 			refHist []*stats.Histogram
-			sks     []*stats.Sketch
-			refSks  []*stats.Sketch
 		)
 		vals := make([]float64, 8) // what gauges read
 		for step := 0; len(data) >= 5 && step < fuzzMaxOps; step, data = step+1, data[5:] {
@@ -144,15 +142,8 @@ func FuzzRegistry(f *testing.F) {
 					return
 				}
 			case 2:
-				ok := false
-				if d&1 == 0 {
-					ok = register(func() { hists = append(hists, r.Histogram(name, labels...)) },
-						func() { refHist = append(refHist, ref.Histogram(name, labels...)) })
-				} else {
-					ok = register(func() { sks = append(sks, r.Sketch(name, labels...)) },
-						func() { refSks = append(refSks, ref.Sketch(name, labels...)) })
-				}
-				if !ok {
+				if !register(func() { hists = append(hists, r.Histogram(name, labels...)) },
+					func() { refHist = append(refHist, ref.Histogram(name, labels...)) }) {
 					return
 				}
 			case 3:
@@ -197,10 +188,6 @@ func FuzzRegistry(f *testing.F) {
 				if len(hists) > 0 {
 					hists[int(c)%len(hists)].Observe(v)
 					refHist[int(c)%len(refHist)].Observe(v)
-				}
-				if len(sks) > 0 {
-					sks[int(c)%len(sks)].Observe(v)
-					refSks[int(c)%len(refSks)].Observe(v)
 				}
 			case 8:
 				if got, want := r.Has(name, labels...), ref.Has(name, labels...); got != want {

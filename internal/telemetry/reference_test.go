@@ -46,11 +46,6 @@ type refHistogram struct {
 	h *stats.Histogram
 }
 
-type refSketch struct {
-	k string
-	s *stats.Sketch
-}
-
 // refRegistry is the map-keyed registry the block registry replaced,
 // kept unchanged as the differential reference FuzzRegistry checks
 // Registry against: every metric on its own, with its rendered key
@@ -60,7 +55,6 @@ type refRegistry struct {
 	counters   []*refCounter
 	gauges     []refGauge
 	histograms []refHistogram
-	sketches   []refSketch
 	keys       map[string]refMetric
 }
 
@@ -102,14 +96,6 @@ func (r *refRegistry) Histogram(name string, labels ...Label) *stats.Histogram {
 	r.claim(k, KindHistogram, len(r.histograms))
 	r.histograms = append(r.histograms, refHistogram{k: k, h: h})
 	return h
-}
-
-func (r *refRegistry) Sketch(name string, labels ...Label) *stats.Sketch {
-	s := stats.NewSketch(0)
-	k := refKey(name, labels)
-	r.claim(k, KindSketch, len(r.sketches))
-	r.sketches = append(r.sketches, refSketch{k: k, s: s})
-	return s
 }
 
 // memberLabels is what a publisher passed per member before blocks: the
@@ -158,16 +144,14 @@ func (r *refRegistry) Reader(k string) (func() float64, bool) {
 			return float64(r.counters[ref.i].v)
 		case KindGauge:
 			return r.gauges[ref.i].fn()
-		case KindHistogram:
-			return float64(r.histograms[ref.i].h.Count())
 		default:
-			return float64(r.sketches[ref.i].s.Count())
+			return float64(r.histograms[ref.i].h.Count())
 		}
 	}, true
 }
 
 func (r *refRegistry) Snapshot() *Snapshot {
-	s := &Snapshot{Entries: make([]Entry, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.sketches))}
+	s := &Snapshot{Entries: make([]Entry, 0, len(r.counters)+len(r.gauges)+len(r.histograms))}
 	for _, c := range r.counters {
 		s.Entries = append(s.Entries, Entry{Key: c.k, Kind: KindCounter, Value: float64(c.v)})
 	}
@@ -182,14 +166,6 @@ func (r *refRegistry) Snapshot() *Snapshot {
 				P50: h.h.Quantile(0.50), P99: h.h.Quantile(0.99), P999: h.h.Quantile(0.999),
 			}})
 	}
-	for _, sk := range r.sketches {
-		s.Entries = append(s.Entries, Entry{Key: sk.k, Kind: KindSketch,
-			Value: float64(sk.s.Count()),
-			Hist: &HistValues{
-				Count: sk.s.Count(), Mean: sk.s.Mean(), Min: sk.s.Min(), Max: sk.s.Max(),
-				P50: sk.s.Quantile(0.50), P99: sk.s.Quantile(0.99), P999: sk.s.Quantile(0.999),
-			}})
-	}
 	sort.Slice(s.Entries, func(i, j int) bool { return s.Entries[i].Key < s.Entries[j].Key })
 	return s
 }
@@ -200,7 +176,7 @@ func fmtText(s *Snapshot) string {
 	var b strings.Builder
 	for _, e := range s.Entries {
 		switch e.Kind {
-		case KindHistogram, KindSketch:
+		case KindHistogram:
 			h := e.Hist
 			fmt.Fprintf(&b, "%s count=%d mean=%g min=%g max=%g p50=%g p99=%g p99.9=%g\n",
 				e.Key, h.Count, h.Mean, h.Min, h.Max, h.P50, h.P99, h.P999)

@@ -166,8 +166,8 @@ type entry struct {
 	// counters is a counter entry's slab, indexed like table.
 	counters []Counter
 	// x is a gauge's func(int) float64 (a block, called with the table
-	// index) or func() float64 (a single), a *stats.Histogram or a
-	// *stats.Sketch; nil for counters.
+	// index) or func() float64 (a single), or a *stats.Histogram; nil
+	// for counters.
 	x any
 }
 
@@ -252,8 +252,6 @@ func (e *entry) value(i int) float64 {
 		return x()
 	case *stats.Histogram:
 		return float64(x.Count())
-	case *stats.Sketch:
-		return float64(x.Count())
 	}
 	return float64(e.counters[i].v)
 }
@@ -263,13 +261,6 @@ func (e *entry) snapEntry(k string, i int) Entry {
 	switch x := e.x.(type) {
 	case *stats.Histogram:
 		return Entry{Key: k, Kind: KindHistogram, Value: float64(x.Count()), Hist: &HistValues{
-			Count: x.Count(), Mean: x.Mean(), Min: x.Min(), Max: x.Max(),
-			P50: x.Quantile(0.50), P99: x.Quantile(0.99), P999: x.Quantile(0.999),
-		}}
-	case *stats.Sketch:
-		// Sketch entries reuse the histogram summary shape (Hist), so
-		// consumers read quantiles the same way for either kind.
-		return Entry{Key: k, Kind: KindSketch, Value: float64(x.Count()), Hist: &HistValues{
 			Count: x.Count(), Mean: x.Mean(), Min: x.Min(), Max: x.Max(),
 			P50: x.Quantile(0.50), P99: x.Quantile(0.99), P999: x.Quantile(0.999),
 		}}
@@ -519,20 +510,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *stats.Histogram {
 	return h
 }
 
-// Sketch registers and returns a mergeable relative-error quantile
-// sketch (stats.Sketch at its default 1% accuracy) — the scalable
-// replacement for exact-percentile sorting: latency distributions from
-// thousands of devices publish and merge by bucket addition. A nil
-// registry returns an unregistered sketch that still records.
-func (r *Registry) Sketch(name string, labels ...Label) *stats.Sketch {
-	s := stats.NewSketch(0)
-	if r == nil {
-		return s
-	}
-	r.single(entry{x: s}, name, labels)
-	return s
-}
-
 // lookup finds the entry and member registered under key k.
 func (r *Registry) lookup(k string) (int32, int, bool) {
 	j, ok := r.devices[bucketOf(k)]
@@ -571,7 +548,7 @@ func (r *Registry) Len() int {
 }
 
 // Reader reads one registered metric's current scalar value: the Value
-// its Snapshot entry would carry (a histogram's or sketch's sample
+// its Snapshot entry would carry (a histogram's sample
 // count), without snapshotting, sorting or summarizing the rest of the
 // registry. The zero Reader reads 0.
 type Reader struct {
@@ -616,7 +593,6 @@ const (
 	KindCounter   Kind = "counter"
 	KindGauge     Kind = "gauge"
 	KindHistogram Kind = "histogram"
-	KindSketch    Kind = "sketch"
 )
 
 // HistValues carries the summary statistics of a histogram entry.
@@ -733,7 +709,7 @@ func (s *Snapshot) Filter(pred func(Entry) bool) *Snapshot {
 func appendLine(b []byte, e *Entry) []byte {
 	b = append(b, e.Key...)
 	switch e.Kind {
-	case KindHistogram, KindSketch:
+	case KindHistogram:
 		h := e.Hist
 		b = strconv.AppendUint(append(b, " count="...), h.Count, 10)
 		b = strconv.AppendFloat(append(b, " mean="...), h.Mean, 'g', -1, 64)

@@ -40,42 +40,14 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-func TestSketchKind(t *testing.T) {
-	r := NewRegistry()
-	sk := r.Sketch("health/fct_ps", L("pri", 3))
-	for v := 1; v <= 100; v++ {
-		sk.Observe(float64(v) * 1000)
-	}
-	s := r.Snapshot()
-	e, ok := s.Get("health/fct_ps{pri=3}")
-	if !ok || e.Kind != KindSketch || e.Hist == nil || e.Hist.Count != 100 {
-		t.Fatalf("sketch entry = %+v ok=%v", e, ok)
-	}
-	if e.Hist.P99 < 97000 || e.Hist.P99 > 101000 {
-		t.Fatalf("sketch p99 = %g, want ~99000", e.Hist.P99)
-	}
-	// Sketch entries render like histograms: one line with quantiles.
-	line := s.Text()
-	if !strings.Contains(line, "health/fct_ps{pri=3} count=100") {
-		t.Fatalf("sketch text rendering: %q", line)
-	}
-
-	// Nil registry still hands out a working sketch.
-	var nr *Registry
-	if nsk := nr.Sketch("ignored"); nsk == nil {
-		t.Fatal("nil registry must still hand out a working sketch")
-	}
-}
-
 func TestReaderMatchesSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tor-0/drops", L("port", 2))
 	g := 1.5
 	r.Gauge("tor-0/depth", func() float64 { return g })
 	h := r.Histogram("pingmesh/rtt_ps")
-	sk := r.Sketch("health/fct_ps")
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if r.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", r.Len())
 	}
 	readers := map[string]Reader{}
 	for _, e := range r.Snapshot().Entries {
@@ -90,7 +62,6 @@ func TestReaderMatchesSnapshot(t *testing.T) {
 	g = 9
 	h.Observe(10)
 	h.Observe(20)
-	sk.Observe(5)
 	for _, e := range r.Snapshot().Entries {
 		if got := readers[e.Key].Value(); got != e.Value {
 			t.Fatalf("%s: reader %g, snapshot %g", e.Key, got, e.Value)
@@ -391,8 +362,7 @@ func BenchmarkCounterInc(b *testing.B) {
 
 // TestTextMatchesFmt pins Snapshot.Text to the fmt.Fprintf renderer it
 // replaced, over counters near 2^64, gauges at the floats whose shortest
-// form is easiest to get wrong, and empty and filled histograms and
-// sketches.
+// form is easiest to get wrong, and empty and filled histograms.
 func TestTextMatchesFmt(t *testing.T) {
 	r := NewRegistry()
 	for i, v := range []uint64{0, 1, 1<<53 + 1, 1 << 63, math.MaxUint64 - 1024, math.MaxUint64 - 1, math.MaxUint64} {
@@ -409,11 +379,10 @@ func TestTextMatchesFmt(t *testing.T) {
 		r.Gauge("g", func() float64 { return v }, L("i", i))
 	}
 	r.Histogram("h/empty")
-	r.Sketch("s/empty")
-	h, sk := r.Histogram("h/filled"), r.Sketch("s/filled")
+	h, sq := r.Histogram("h/filled"), r.Histogram("h/squares")
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i) * 1.37e3)
-		sk.Observe(float64(i*i) / 7)
+		sq.Observe(float64(i*i) / 7)
 	}
 	s := r.Snapshot()
 	if got, want := s.Text(), fmtText(s); got != want {

@@ -303,8 +303,8 @@ func runCellK(name string, seed int64, shards int, gpu, storage, misconfig bool)
 
 	gpuPri := plan.Class("gpu").Priority
 	stPri := plan.Class("storage").Priority
-	gpuFCT := stats.NewSketch(0)
-	stFCT := stats.NewSketch(0)
+	gpuFCT := stats.NewHistogram()
+	stFCT := stats.NewHistogram()
 	var gpuRounds, stOps uint64
 	var gpuBytes, stBytes uint64
 
