@@ -136,6 +136,12 @@ type macEntry struct {
 	expires simtime.Time
 }
 
+// macKey packs a MAC address into the MAC table's key.
+func macKey(m packet.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
 // fwdEntry is one frame traversing the forwarding pipeline (between
 // ingress processing and egress enqueue).
 type fwdEntry struct {
@@ -159,6 +165,11 @@ type portState struct {
 	// "receiving continuous pause frames" condition.
 	lastPauseRx simtime.Time
 	lastTxCount uint64
+	// srcKey and srcSlot cache the MAC table entry this port learned last
+	// (srcSlot is its index + 1, 0 when empty), so the data frames of one
+	// sender refresh it without a map access. ExpireMAC empties the cache.
+	srcKey  uint64
+	srcSlot int32
 
 	// Per-port counters, registered with a port label at AttachLink.
 	RxFrames *telemetry.Counter
@@ -264,7 +275,8 @@ type Switch struct {
 
 	routes routeTable
 	arp    map[packet.Addr]arpEntry
-	macTab map[packet.MAC]macEntry
+	macIdx map[uint64]int32 // MAC key → index of its entry in macTab
+	macTab []macEntry
 
 	// fwd is the forwarding-pipeline ring: frames in flight between
 	// ingress and egress enqueue, drained FIFO by the resident fwdEv.
@@ -307,7 +319,7 @@ func NewSwitch(k *sim.Kernel, cfg Config, mac packet.MAC) (*Switch, error) {
 		trace:  k.Trace(),
 		port:   make([]*portState, cfg.Ports),
 		arp:    make(map[packet.Addr]arpEntry),
-		macTab: make(map[packet.MAC]macEntry),
+		macIdx: make(map[uint64]int32),
 		C:      newCounters(k.Metrics(), cfg.Name),
 	}
 	sw.fwdEv = sw.fireForward
@@ -399,12 +411,51 @@ func (s *Switch) SetARP(ip packet.Addr, mac packet.MAC) {
 // configured MAC timeout, exactly as the hardware learns from received
 // frames.
 func (s *Switch) LearnMAC(mac packet.MAC, port int) {
-	s.macTab[mac] = macEntry{port: port, expires: s.k.Now().Add(s.cfg.MACTimeout)}
+	s.learn(s.macSlot(macKey(mac)), port)
+}
+
+// learnFrom refreshes the MAC-table entry of a data frame's source,
+// through the port's cache of the source it learned last.
+func (s *Switch) learnFrom(ps *portState, port int, src packet.MAC) {
+	if key := macKey(src); ps.srcSlot == 0 || ps.srcKey != key {
+		ps.srcKey, ps.srcSlot = key, s.macSlot(key)+1
+	}
+	s.learn(ps.srcSlot-1, port)
+}
+
+// learn (re)writes MAC-table entry i.
+func (s *Switch) learn(i int32, port int) {
+	s.macTab[i] = macEntry{port: port, expires: s.k.Now().Add(s.cfg.MACTimeout)}
+}
+
+// macSlot returns the index of key's MAC-table entry, adding an empty
+// one if there is none.
+func (s *Switch) macSlot(key uint64) int32 {
+	i, ok := s.macIdx[key]
+	if !ok {
+		i = int32(len(s.macTab))
+		s.macTab = append(s.macTab, macEntry{})
+		s.macIdx[key] = i
+	}
+	return i
 }
 
 // ExpireMAC removes a MAC-table entry immediately (test hook standing in
 // for the 5-minute ageing the deadlock scenario depends on).
-func (s *Switch) ExpireMAC(mac packet.MAC) { delete(s.macTab, mac) }
+func (s *Switch) ExpireMAC(mac packet.MAC) {
+	key := macKey(mac)
+	i, ok := s.macIdx[key]
+	if !ok {
+		return
+	}
+	delete(s.macIdx, key)
+	s.macTab[i] = macEntry{}
+	for _, ps := range s.port {
+		if ps.srcKey == key {
+			ps.srcSlot = 0
+		}
+	}
+}
 
 func (s *Switch) lookupARP(ip packet.Addr) (packet.MAC, bool) {
 	e, ok := s.arp[ip]
@@ -415,8 +466,12 @@ func (s *Switch) lookupARP(ip packet.Addr) (packet.MAC, bool) {
 }
 
 func (s *Switch) lookupMAC(mac packet.MAC) (int, bool) {
-	e, ok := s.macTab[mac]
-	if !ok || e.expires.Before(s.k.Now()) {
+	i, ok := s.macIdx[macKey(mac)]
+	if !ok {
+		return 0, false
+	}
+	e := s.macTab[i]
+	if e.expires.Before(s.k.Now()) {
 		return 0, false
 	}
 	return e.port, true
@@ -443,9 +498,10 @@ func (s *Switch) Receive(n int, p *packet.Packet) {
 		return
 	}
 	ps := s.port[n]
+	wire := p.WireLen() // every copy of the frame carries it from here
 	s.C.RxFrames.Inc()
 	ps.RxFrames.Inc()
-	ps.RxBytes += uint64(p.WireLen())
+	ps.RxBytes += uint64(wire)
 
 	if p.IsPause() {
 		s.C.PauseRx.Inc()
@@ -462,7 +518,7 @@ func (s *Switch) Receive(n int, p *packet.Packet) {
 	// MAC learning from data frames (the L2 table the deadlock hinges
 	// on).
 	if !p.Eth.Src.IsZero() {
-		s.LearnMAC(p.Eth.Src, n)
+		s.learnFrom(ps, n, p.Eth.Src)
 	}
 
 	pri := p.Priority(s.cfg.DSCPMap)
@@ -510,23 +566,24 @@ func (s *Switch) Receive(n int, p *packet.Packet) {
 	case !ok:
 		return // counted inside forward
 	case flood == nil:
-		s.admitForward(n, out, p, pri, lossless, nextHop)
+		s.admitForward(n, out, p, wire, pri, lossless, nextHop)
 	case len(flood) == 1:
-		s.admitForward(n, flood[0], p, pri, lossless, nextHop)
+		s.admitForward(n, flood[0], p, wire, pri, lossless, nextHop)
 	case len(flood) > 1:
 		for _, out := range flood {
 			// Flooding: every copy is independent so per-hop mutation
 			// (TTL, ECN) stays per-copy.
-			s.admitForward(n, out, p.Clone(), pri, lossless, nextHop)
+			s.admitForward(n, out, p.Clone(), wire, pri, lossless, nextHop)
 		}
 		s.k.PacketPool().Put(p) // only box-less clones went downstream
 	}
 }
 
-// admitForward charges one copy of a frame to its ingress bucket and, if
-// admitted, sends it down the forwarding pipeline toward out.
-func (s *Switch) admitForward(in, out int, p *packet.Packet, pri int, lossless, nextHop bool) {
-	outcome, tr := s.mmu.Admit(in, pri, p.WireLen())
+// admitForward charges one copy of a frame, wire bytes long, to its
+// ingress bucket and, if admitted, sends it down the forwarding pipeline
+// toward out.
+func (s *Switch) admitForward(in, out int, p *packet.Packet, wire, pri int, lossless, nextHop bool) {
+	outcome, tr := s.mmu.Admit(in, pri, wire)
 	s.applyPause(in, pri, tr)
 	if outcome == buffer.Drop {
 		s.C.IngressDrops.Inc()
@@ -536,7 +593,7 @@ func (s *Switch) admitForward(in, out int, p *packet.Packet, pri int, lossless, 
 		s.drop(in, pri, p, "buffer-admission")
 		return
 	}
-	s.finishForward(in, out, p, pri, nextHop)
+	s.finishForward(in, out, p, wire, pri, nextHop)
 }
 
 // drop emits a trace event for a discarded frame and recycles it: every
@@ -655,6 +712,9 @@ func (s *Switch) pickECMP(ports []int, p *packet.Packet) (int, bool) {
 	} else {
 		idx = int(p.Flow().Hash() % uint64(live))
 	}
+	if live == len(ports) {
+		return ports[idx], true
+	}
 	for _, pt := range ports {
 		if s.portDown(pt) {
 			continue
@@ -680,7 +740,7 @@ func (s *Switch) floodPorts(in int) []int {
 
 // finishForward applies TTL/MAC rewrite, ECN marking and enqueues after
 // the pipeline latency.
-func (s *Switch) finishForward(in, out int, p *packet.Packet, pri int, nextHop bool) {
+func (s *Switch) finishForward(in, out int, p *packet.Packet, wire, pri int, nextHop bool) {
 	if p.IP != nil {
 		p.IP.TTL--
 		// Rewrite L2 addressing toward the next hop, unless forward()
@@ -691,7 +751,7 @@ func (s *Switch) finishForward(in, out int, p *packet.Packet, pri int, nextHop b
 		}
 	}
 	s.maybeMarkECN(out, p, pri)
-	it := link.Item{P: p, Pri: pri, IngressPort: in, PG: pri}
+	it := link.Item{P: p, Pri: pri, IngressPort: int32(in), Len: int32(wire), PG: pri}
 	if s.cfg.ForwardingLatency > 0 {
 		// Constant latency means pipeline events fire in FIFO order, so a
 		// head-indexed ring plus one resident callback replaces a closure
@@ -727,10 +787,9 @@ func (s *Switch) enqueueOut(out int, it link.Item) {
 		// before the failure release their accounting and vanish. The
 		// pause generators are already dead, so transitions go unsignalled.
 		s.C.DownDrops.Inc()
-		wire := it.P.WireLen() // before drop: the pool may recycle it.P
 		s.drop(out, it.Pri, it.P, "switch-down")
 		if it.IngressPort >= 0 {
-			s.mmu.Release(it.IngressPort, it.PG, wire)
+			s.mmu.Release(int(it.IngressPort), it.PG, int(it.Len))
 		}
 		return
 	}
@@ -819,8 +878,9 @@ func (s *Switch) onTransmit(port int, it link.Item) {
 	if it.IngressPort < 0 {
 		return // locally generated (pause frames)
 	}
-	tr := s.mmu.Release(it.IngressPort, it.PG, it.P.WireLen())
-	s.applyPause(it.IngressPort, it.PG, tr)
+	in := int(it.IngressPort)
+	tr := s.mmu.Release(in, it.PG, int(it.Len))
+	s.applyPause(in, it.PG, tr)
 	// A release grows the shared pool: buckets paused under a shrunken
 	// threshold may now resume. Route through applyPause so the trace bus
 	// sees the XON edge — the pause-propagation analyzer needs every
@@ -896,11 +956,10 @@ func (s *Switch) tripWatchdog(port int, ps *portState) {
 		}
 		for _, it := range ps.egress.Purge(pri) {
 			s.C.WatchdogDrops.Inc()
-			wire := it.P.WireLen() // before drop: the pool may recycle it.P
 			s.drop(port, pri, it.P, "watchdog-purge")
-			if it.IngressPort >= 0 {
-				tr := s.mmu.Release(it.IngressPort, it.PG, wire)
-				s.applyPause(it.IngressPort, it.PG, tr)
+			if in := int(it.IngressPort); in >= 0 {
+				tr := s.mmu.Release(in, it.PG, int(it.Len))
+				s.applyPause(in, it.PG, tr)
 			}
 		}
 	}
@@ -973,12 +1032,11 @@ func (s *Switch) powerOff() {
 		for pri := 0; pri < 8; pri++ {
 			for _, it := range ps.egress.Purge(pri) {
 				s.C.DownDrops.Inc()
-				wire := it.P.WireLen() // before drop: the pool may recycle it.P
 				s.drop(i, pri, it.P, "switch-down")
 				if it.IngressPort >= 0 {
 					// The generators are dead; the release transition has
 					// nobody left to signal.
-					s.mmu.Release(it.IngressPort, it.PG, wire)
+					s.mmu.Release(int(it.IngressPort), it.PG, int(it.Len))
 				}
 			}
 		}

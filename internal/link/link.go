@@ -225,9 +225,13 @@ type Item struct {
 	// IngressPort and PG identify the buffer accounting bucket the frame
 	// was admitted under (-1 for locally generated frames that were
 	// never admitted).
-	IngressPort int
-	PG          int
-	Enq         simtime.Time
+	IngressPort int32
+	// Len is P's wire length, computed once per hop: the queue's byte
+	// counts, DWRR, serialization and the switch's buffer release all
+	// read it here. Enqueue fills it in when it is zero.
+	Len int32
+	PG  int
+	Enq simtime.Time
 }
 
 // fifo is a head-indexed queue of Items: push appends, pop advances the
@@ -296,10 +300,9 @@ type Egress struct {
 	Blocked bool
 
 	busy     bool
-	inflight Item      // the frame currently serializing (valid while busy)
-	txDone   sim.Event // resident completion callback, re-armed per frame
-	kickEv   sim.Event // resident retry callback for pause expiry
-	retry    sim.Handle
+	inflight Item       // the frame currently serializing (valid while busy)
+	txDone   sim.Event  // resident completion callback, re-armed per frame
+	retry    *sim.Timer // pause-expiry wake-up, allocated on its first arm
 	TxFrames uint64
 	TxBytes  uint64
 	// TxByPri counts transmitted data frames per priority.
@@ -323,7 +326,6 @@ type queueBlock struct {
 func NewEgress(k *sim.Kernel, l *Link, side int) *Egress {
 	e := &Egress{k: k, link: l, side: side, Pause: pfc.NewPauseState(l.Rate())}
 	e.txDone = e.finishTx
-	e.kickEv = e.kick
 	return e
 }
 
@@ -404,16 +406,19 @@ func (e *Egress) Enqueue(it Item) {
 		panic(fmt.Sprintf("link: priority %d", it.Pri))
 	}
 	it.Enq = e.k.Now()
+	if it.Len == 0 {
+		it.Len = int32(it.P.WireLen())
+	}
 	q := e.queues()
 	q.data[it.Pri].push(it)
-	q.bytes[it.Pri] += it.P.WireLen()
+	q.bytes[it.Pri] += int(it.Len)
 	e.kick()
 }
 
 // EnqueueControl queues a pause frame; control frames preempt all data
 // and ignore PFC state.
 func (e *Egress) EnqueueControl(p *packet.Packet) {
-	e.queues().control.push(Item{P: p, Pri: -1, IngressPort: -1, PG: -1, Enq: e.k.Now()})
+	e.queues().control.push(Item{P: p, Pri: -1, IngressPort: -1, Len: int32(p.WireLen()), PG: -1, Enq: e.k.Now()})
 	e.kick()
 }
 
@@ -457,7 +462,7 @@ func (e *Egress) trySend() {
 		return
 	}
 	it := q.data[pri].pop()
-	q.bytes[pri] -= it.P.WireLen()
+	q.bytes[pri] -= int(it.Len)
 	e.transmit(it)
 }
 
@@ -487,7 +492,7 @@ func (e *Egress) pickDWRR(q *queueBlock, now simtime.Time) int {
 		}
 		pri := q.cur
 		if q.data[pri].len() > 0 && !e.Pause.Paused(now, pri) {
-			if head := q.data[pri].front().P.WireLen(); q.deficit[pri] >= head {
+			if head := int(q.data[pri].front().Len); q.deficit[pri] >= head {
 				q.deficit[pri] -= head
 				return pri
 			}
@@ -515,10 +520,10 @@ func (e *Egress) armRetry(q *queueBlock, now simtime.Time) {
 	if earliest == simtime.Forever {
 		return
 	}
-	if e.retry.Pending() {
-		e.retry.Cancel()
+	if e.retry == nil {
+		e.retry = e.k.NewTimer(e.kick)
 	}
-	e.retry = e.k.At(earliest, e.kickEv)
+	e.retry.ResetAt(earliest)
 }
 
 // transmit starts serializing one frame: the resident completion event
@@ -528,7 +533,7 @@ func (e *Egress) armRetry(q *queueBlock, now simtime.Time) {
 func (e *Egress) transmit(it Item) {
 	e.busy = true
 	e.inflight = it
-	tx := e.link.Rate().Transmission(it.P.WireLen() + FrameOverhead)
+	tx := e.link.Rate().Transmission(int(it.Len) + FrameOverhead)
 	e.k.After(tx, e.txDone)
 }
 
@@ -538,7 +543,7 @@ func (e *Egress) finishTx() {
 	e.inflight = Item{} // release the packet reference
 	e.busy = false
 	e.TxFrames++
-	e.TxBytes += uint64(it.P.WireLen())
+	e.TxBytes += uint64(it.Len)
 	if it.Pri >= 0 {
 		e.TxByPri[it.Pri]++
 	}

@@ -399,6 +399,15 @@ func TestFCSErrorInjection(t *testing.T) {
 	}
 }
 
+// TestItemSize pins a queued frame's record at 40 bytes or less: it is
+// copied on every enqueue, dequeue and transmit, and carrying the wire
+// length must not grow it.
+func TestItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(Item{}); n > 40 {
+		t.Fatalf("Item is %d bytes, want <= 40", n)
+	}
+}
+
 // TestIdleEgress pins the footprint of an egress that never sends: the
 // queues and DWRR state stay unallocated, and kicking it schedules
 // nothing. The first Enqueue, EnqueueControl or SetWeight allocates

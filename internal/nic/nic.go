@@ -8,6 +8,7 @@ package nic
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"rocesim/internal/dcqcn"
@@ -148,17 +149,21 @@ type NIC struct {
 	tm     *transport.Metrics // lazily registered device-level transport metrics
 	dm     *dcqcn.Metrics     // lazily registered device-level DCQCN metrics
 
-	qps     map[uint32]*transport.QP
-	order   []*transport.QP // creation order, served round-robin by txKick
+	qps   map[uint32]*transport.QP
+	order []*transport.QP // creation order, served round-robin by txKick
+	// kicked has bit i set while order[i] may have something to send: its
+	// Kick sets it, and txKick clears it when NextReady answers Forever.
+	// Every change that can give a QP work (Post, HandlePacket, a
+	// retransmission timeout) ends in that QP's Kick.
+	kicked  []uint64
 	rrIdx   int
-	txArmed sim.Handle
+	txTimer *sim.Timer // wake-up at the earliest paced send, allocated on its first arm
 
 	rxQueue  []*packet.Packet
 	rxHead   int
 	rxBytes  int
 	busy     bool
 	pipeDone sim.Event // resident pipeline-completion callback
-	txKickEv sim.Event // resident transmit-scheduler wake-up
 	lastProc simtime.Time
 	mtt      *MTT
 	// Malfunction models the receive-pipeline bug behind the paper's
@@ -195,7 +200,6 @@ func New(k *sim.Kernel, cfg Config) *NIC {
 		S:     newStats(k.Metrics(), cfg.Name),
 	}
 	n.pipeDone = n.finishPipeline
-	n.txKickEv = n.txKick
 	if cfg.MTT != nil {
 		n.mtt = NewMTT(*cfg.MTT)
 	}
@@ -351,7 +355,11 @@ func (n *NIC) CreateQP(cfg transport.Config) *transport.QP {
 		p.Metrics = n.dm
 		cfg.DCQCN = &p
 	}
-	q := transport.New(qpEndpoint{n}, cfg)
+	i := len(n.order)
+	if i&63 == 0 {
+		n.kicked = append(n.kicked, 0)
+	}
+	q := transport.New(qpEndpoint{n, i}, cfg)
 	if _, dup := n.qps[cfg.QPN]; dup {
 		panic(fmt.Sprintf("nic %s: duplicate QPN %d", n.cfg.Name, cfg.QPN))
 	}
@@ -400,15 +408,22 @@ func (n *NIC) dscpOf(pri int) uint8 {
 // a misprogrammed CNP class through the NIC reader's "cnp_prio" key.
 func (n *NIC) SetCNPPriority(pri int) { n.cfg.CNPPriority = pri }
 
-// qpEndpoint adapts the NIC to transport.Endpoint.
-type qpEndpoint struct{ n *NIC }
-
-func (e qpEndpoint) Now() simtime.Time { return e.n.k.Now() }
-func (e qpEndpoint) After(d simtime.Duration, fn func()) sim.Handle {
-	return e.n.k.After(d, fn)
+// qpEndpoint adapts the NIC to transport.Endpoint for the QP at index i
+// of the NIC's order.
+type qpEndpoint struct {
+	n *NIC
+	i int
 }
-func (e qpEndpoint) Kick()            { e.n.txKick() }
-func (e qpEndpoint) Rand() *rand.Rand { return e.n.rng }
+
+func (e qpEndpoint) Now() simtime.Time             { return e.n.k.Now() }
+func (e qpEndpoint) NewTimer(fn func()) *sim.Timer { return e.n.k.NewTimer(fn) }
+func (e qpEndpoint) Rand() *rand.Rand              { return e.n.rng }
+
+func (e qpEndpoint) Kick() {
+	e.n.kicked[e.i>>6] |= 1 << (e.i & 63)
+	e.n.txKick()
+}
+
 func (e qpEndpoint) NextIPID() uint16 {
 	e.n.ipid++
 	return e.n.ipid
@@ -422,54 +437,82 @@ func (n *NIC) txKick() {
 	}
 	now := n.k.Now()
 	for n.eg.TotalQueued() < 4096 { // keep ~3 frames of backlog
-		var earliest simtime.Time = simtime.Forever
-		sent := false
-		for i := 0; i < len(n.order); i++ {
-			q := n.order[(n.rrIdx+i)%len(n.order)]
-			at := q.NextReady(now)
-			if at.After(now) {
-				if at.Before(earliest) {
-					earliest = at
-				}
-				continue
-			}
-			p := q.Pop(now)
-			if p == nil {
-				continue
-			}
-			n.rrIdx = (n.rrIdx + i + 1) % len(n.order)
-			pri := q.Config().Priority
-			if p.IsCNP() && n.cfg.CNPPriority > 0 {
-				// Dedicated CNP class: the notification leaves in its own
-				// priority, re-stamped so every hop classifies it there.
-				pri = n.cfg.CNPPriority
-				if p.IP != nil {
-					p.IP.DSCP = n.dscpOf(pri)
-				}
-				if p.VLAN != nil {
-					p.VLAN.PCP = uint8(pri)
-				}
-			}
-			n.inject(p, pri)
-			sent = true
-			break
-		}
-		if !sent {
+		q, p, earliest := n.nextPacket(now)
+		if p == nil {
 			if earliest != simtime.Forever {
-				if n.txArmed.Pending() {
-					n.txArmed.Cancel()
+				if n.txTimer == nil {
+					n.txTimer = n.k.NewTimer(n.txKick)
 				}
-				n.txArmed = n.k.At(earliest, n.txKickEv)
+				n.txTimer.ResetAt(earliest)
 			}
 			return
 		}
+		pri := q.Config().Priority
+		if p.IsCNP() && n.cfg.CNPPriority > 0 {
+			// Dedicated CNP class: the notification leaves in its own
+			// priority, re-stamped so every hop classifies it there.
+			pri = n.cfg.CNPPriority
+			if p.IP != nil {
+				p.IP.DSCP = n.dscpOf(pri)
+			}
+			if p.VLAN != nil {
+				p.VLAN.PCP = uint8(pri)
+			}
+		}
+		n.inject(p, pri)
 	}
+}
+
+// nextPacket visits the kicked QPs round-robin from rrIdx. The first
+// with a packet due now yields it, and the turn passes to the QP after
+// it. Otherwise nextPacket returns the earliest time a visited QP will
+// have one, Forever when none will. Skipping a QP that is not kicked is
+// visiting it: its NextReady would answer Forever.
+func (n *NIC) nextPacket(now simtime.Time) (*transport.QP, *packet.Packet, simtime.Time) {
+	earliest := simtime.Forever
+	lo, hi := n.rrIdx, len(n.order)
+	for pass := 0; pass < 2; pass++ {
+		for i := n.nextKicked(lo, hi); i < hi; i = n.nextKicked(i+1, hi) {
+			q := n.order[i]
+			switch at := q.NextReady(now); {
+			case at == simtime.Forever:
+				n.kicked[i>>6] &^= 1 << (i & 63)
+			case at.After(now):
+				if at.Before(earliest) {
+					earliest = at
+				}
+			default:
+				if p := q.Pop(now); p != nil {
+					if n.rrIdx = i + 1; n.rrIdx == len(n.order) {
+						n.rrIdx = 0
+					}
+					return q, p, earliest
+				}
+			}
+		}
+		lo, hi = 0, n.rrIdx
+	}
+	return nil, nil, earliest
+}
+
+// nextKicked returns the index of the first kicked QP in [i, hi), or hi.
+func (n *NIC) nextKicked(i, hi int) int {
+	for ; i < hi; i = (i | 63) + 1 {
+		if w := n.kicked[i>>6] >> (i & 63); w != 0 {
+			if j := i + bits.TrailingZeros64(w); j < hi {
+				return j
+			}
+			return hi
+		}
+	}
+	return hi
 }
 
 // Receive implements link.Endpoint.
 func (n *NIC) Receive(_ int, p *packet.Packet) {
+	size := p.WireLen()
 	n.S.RxFrames.Inc()
-	n.S.RxBytes.Add(uint64(p.WireLen()))
+	n.S.RxBytes.Add(uint64(size))
 
 	if p.IsPause() {
 		n.S.RxPause.Inc()
@@ -503,7 +546,6 @@ func (n *NIC) Receive(_ int, p *packet.Packet) {
 	}
 
 	// Receive buffer admission.
-	size := p.WireLen()
 	if n.rxBytes+size > n.cfg.RxBufBytes {
 		n.S.RxOverflow.Inc()
 		n.drop(p, "rx-overflow")

@@ -136,31 +136,35 @@ func (p *Packet) Flow() FlowKey {
 	return k
 }
 
-// Hash returns a deterministic 64-bit hash of the five-tuple (FNV-1a),
-// the function intermediate switches use for ECMP next-hop selection.
+// Hash returns the 64-bit FNV-1a hash of the five-tuple's 13 bytes
+// (source, destination, protocol, then both ports big-endian), the
+// function intermediate switches use for ECMP next-hop selection. It is
+// unrolled: every forwarded frame pays for it at each ECMP hop.
 func (k FlowKey) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	for _, b := range k.Src {
-		mix(b)
-	}
-	for _, b := range k.Dst {
-		mix(b)
-	}
-	mix(k.Proto)
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	return h
+	h := uint64(fnvOffset)
+	h = fnvMix(h, k.Src[0])
+	h = fnvMix(h, k.Src[1])
+	h = fnvMix(h, k.Src[2])
+	h = fnvMix(h, k.Src[3])
+	h = fnvMix(h, k.Dst[0])
+	h = fnvMix(h, k.Dst[1])
+	h = fnvMix(h, k.Dst[2])
+	h = fnvMix(h, k.Dst[3])
+	h = fnvMix(h, k.Proto)
+	h = fnvMix(h, byte(k.SrcPort>>8))
+	h = fnvMix(h, byte(k.SrcPort))
+	h = fnvMix(h, byte(k.DstPort>>8))
+	return fnvMix(h, byte(k.DstPort))
 }
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMix folds one byte into an FNV-1a hash.
+func fnvMix(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
 
 // Reverse returns the key with endpoints swapped.
 func (k FlowKey) Reverse() FlowKey {

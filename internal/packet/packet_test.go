@@ -2,6 +2,7 @@ package packet
 
 import (
 	"errors"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,21 @@ func TestFlowKeyHashSpreads(t *testing.T) {
 	}
 	if len(buckets) < 100 {
 		t.Fatalf("1024 flows hit only %d/128 buckets", len(buckets))
+	}
+}
+
+// TestFlowKeyHashIsFNV1a pins the unrolled ECMP hash to FNV-1a over
+// the five-tuple's bytes: a changed hash would move every flow's path.
+func TestFlowKeyHashIsFNV1a(t *testing.T) {
+	f := func(k FlowKey) bool {
+		h := fnv.New64a()
+		h.Write(k.Src[:])
+		h.Write(k.Dst[:])
+		h.Write([]byte{k.Proto, byte(k.SrcPort >> 8), byte(k.SrcPort), byte(k.DstPort >> 8), byte(k.DstPort)})
+		return k.Hash() == h.Sum64()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

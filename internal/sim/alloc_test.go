@@ -137,6 +137,33 @@ func TestCancelRearmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTimerRearmZeroAlloc pins the lazy timer's steady state at zero
+// allocations: a Reset to a later deadline, a ResetAt to an earlier one
+// (which replaces the queued item), a Stop and the Reset after it, all
+// between fires that re-key the timer's item at the top of the heap.
+func TestTimerRearmZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	var nop Event = func() {}
+	tm := k.NewTimer(nop)
+	cycle := func() {
+		tm.Reset(simtime.Microsecond)
+		k.After(simtime.Nanosecond, nop)
+		tm.Reset(2 * simtime.Microsecond)
+		tm.ResetAt(k.Now().Add(500 * simtime.Nanosecond))
+		k.RunUntil(k.Now().Add(100 * simtime.Nanosecond))
+		tm.Stop()
+		tm.Reset(simtime.Microsecond)
+		k.Run()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(1000, cycle)
+	if allocs != 0 {
+		t.Fatalf("timer reset/stop cycle allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestPacketPoolZeroAlloc pins the packet round-trip — Get, attach the
 // full RoCE header stack, Put — at zero allocations once the pool is
 // warm. This is the per-data-packet cost in transport.newDataPacket.

@@ -13,6 +13,8 @@ package sim
 //   - CancelHeavy: the retransmit-timer pattern — schedule, re-arm
 //     (cancel + schedule) on every ack, where almost no timer ever
 //     fires.
+//   - TimerRearm: the same pattern on a sim.Timer, whose later-deadline
+//     re-arm only records the new key.
 //   - Drain: burst-fill then drain, the incast pattern.
 //   - Mixed: interleaved schedule/fire/cancel at the ratios a DCQCN
 //     storm run exhibits (~6 schedules, 1 cancel per 6 fires).
@@ -80,6 +82,26 @@ func BenchmarkKernelCancelHeavy(b *testing.B) {
 			timer.Cancel()
 		}
 		timer = k.After(500*simtime.Microsecond, nop)
+		n++
+		if n < b.N {
+			k.After(simtime.Nanosecond, fn)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.After(simtime.Nanosecond, fn)
+	k.Run()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+func BenchmarkKernelTimerRearm(b *testing.B) {
+	k := NewKernel(1)
+	timer := k.NewTimer(func() {})
+	n := 0
+	var fn Event
+	fn = func() {
+		// Progress was made: push the retransmit timer out again.
+		timer.Reset(500 * simtime.Microsecond)
 		n++
 		if n < b.N {
 			k.After(simtime.Nanosecond, fn)

@@ -14,6 +14,9 @@ var fuzzDelays = [8]simtime.Duration{0, 0, 1, 1, 2, 5, 50, 1000}
 
 const fuzzMaxEvents = 2048
 
+// fuzzTimers is how many Timers FuzzKernelOrder drives.
+const fuzzTimers = 4
+
 // refEvent is one scheduled event in FuzzKernelOrder's reference model,
 // carrying the full ordering key the kernel must honour.
 type refEvent struct {
@@ -23,6 +26,7 @@ type refEvent struct {
 	schedAt simtime.Time
 	lane    uint64
 	live    bool
+	timer   int // 1 + the index of the Timer this event arms, 0 for none
 }
 
 // before is the reference order: (at, band, schedAt, lane, call order).
@@ -44,24 +48,29 @@ func (a *refEvent) before(b *refEvent) bool {
 }
 
 // FuzzKernelOrder drives one kernel through At, AtArg, AtObserve,
-// ScheduleOnLane (lanes 0–3), Cancel of a held handle, Step and
-// RunUntil, decoded from the input a byte or two per call, and checks
-// every fire against a reference list ordered by (at, band, schedAt,
-// lane, call order). A fired callback reads its own instructions from
-// the input when it runs: it may cancel one held handle or every one
-// still live (enough to reap while it is still firing, before it
-// schedules anything), then schedule up to three events. Pending() must
-// equal the reference's live count before, during and after every
-// callback, and a final Run must fire everything still live.
+// ScheduleOnLane (lanes 0–3), Cancel of a held handle, Timer Reset,
+// ResetAt and Stop on four timers, Step and RunUntil, decoded from the
+// input a byte or two per call, and checks every fire against a
+// reference list ordered by (at, band, schedAt, lane, call order), in
+// which a timer reset is a Cancel of the timer's event plus an At. A
+// fired callback reads its own instructions from the input when it
+// runs: it may cancel one held handle or every one still live (enough
+// to reap while it is still firing, before it schedules anything),
+// reset or stop a timer (its own, inside a timer's callback), then
+// schedule up to three events. Pending() and every Armed() must agree
+// with the reference before, during and after every callback, and a
+// final Run must fire everything still live.
 func FuzzKernelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)
 		var (
-			live    []*refEvent // reference: scheduled, neither fired nor cancelled
-			held    []Handle    // handles of At, AtArg and AtObserve events
-			heldRef []*refEvent
-			events  int
-			fires   int
+			live     []*refEvent // reference: scheduled, neither fired nor cancelled
+			held     []Handle    // handles of At, AtArg and AtObserve events
+			heldRef  []*refEvent
+			timers   [fuzzTimers]*Timer
+			timerRef [fuzzTimers]*refEvent // each timer's live event, nil while disarmed
+			events   int
+			fires    int
 		)
 		next := func() (byte, bool) {
 			if len(data) == 0 {
@@ -75,6 +84,11 @@ func FuzzKernelOrder(f *testing.F) {
 			t.Helper()
 			if got := k.Pending(); got != len(live) {
 				t.Fatalf("%s: Pending() = %d, reference has %d live", where, got, len(live))
+			}
+			for i, tm := range timers {
+				if tm.Armed() != (timerRef[i] != nil) {
+					t.Fatalf("%s: timer %d Armed() = %v, reference armed = %v", where, i, tm.Armed(), timerRef[i] != nil)
+				}
 			}
 		}
 		drop := func(ev *refEvent) {
@@ -105,6 +119,56 @@ func FuzzKernelOrder(f *testing.F) {
 
 		var onFire func(ev *refEvent)
 		fireArg := func(arg any) { onFire(arg.(*refEvent)) }
+		for i := range timers {
+			i := i
+			timers[i] = k.NewTimer(func() {
+				ev := timerRef[i]
+				if ev == nil {
+					t.Fatalf("timer %d fired while the reference has it disarmed", i)
+				}
+				timerRef[i] = nil
+				onFire(ev)
+			})
+		}
+		// timerOp decodes one timer call: the low two bits pick the timer
+		// (bit 2 picks the firing timer itself, inside its callback), bit
+		// 7 stops it, otherwise it is reset by the delay in bits 3–5,
+		// through ResetAt when bit 6 is set and Reset when not.
+		timerOp := func(c byte, self int) {
+			i := int(c & 3)
+			if c&4 != 0 && self > 0 {
+				i = self - 1
+			}
+			tm, old := timers[i], timerRef[i]
+			if c&0x80 != 0 {
+				if old != nil {
+					drop(old)
+					timerRef[i] = nil
+				}
+				if got := tm.Stop(); got != (old != nil) {
+					t.Fatalf("Stop of timer %d = %v, reference armed = %v", i, got, old != nil)
+				}
+				checkPending("after Stop")
+				return
+			}
+			if events == fuzzMaxEvents {
+				return
+			}
+			if old != nil {
+				drop(old)
+			}
+			d := fuzzDelays[c>>3&7]
+			ev := &refEvent{id: events, at: k.Now().Add(d), schedAt: k.Now(), live: true, timer: i + 1}
+			events++
+			live = append(live, ev)
+			timerRef[i] = ev
+			if c&0x40 != 0 {
+				tm.ResetAt(ev.at)
+			} else {
+				tm.Reset(d)
+			}
+			checkPending("after reset")
+		}
 		// schedule decodes one schedule call: the low two bits pick the
 		// method, the next three the delay, the top two the lane.
 		schedule := func(b byte) {
@@ -161,6 +225,11 @@ func FuzzKernelOrder(f *testing.F) {
 					}
 				}
 			}
+			if b&0x20 != 0 {
+				if c, ok := next(); ok {
+					timerOp(c, ev.timer)
+				}
+			}
 			for n := b & 3; n > 0; n-- {
 				s, ok := next()
 				if !ok {
@@ -184,6 +253,12 @@ func FuzzKernelOrder(f *testing.F) {
 					cancel(int(i) % len(held))
 				}
 			case 5:
+				if b >= 8 { // a timer call; 5 alone is a Step
+					if c, ok := next(); ok {
+						timerOp(c, 0)
+					}
+					break
+				}
 				want, n := 0, fires
 				if len(live) > 0 {
 					want = 1

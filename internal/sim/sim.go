@@ -89,14 +89,19 @@ func (h Handle) Cancel() bool {
 	if h.item == nil || h.item.gen != h.gen || !h.item.live() {
 		return false
 	}
-	h.item.clear() // lazily deleted when popped
-	if h.k != nil {
-		h.k.cancelled++
-		if h.k.cancelled > h.k.queued()/2 {
-			h.k.reap()
-		}
-	}
+	h.k.drop(h.item)
 	return true
+}
+
+// drop cancels a queued item: it is cleared and deleted lazily when it
+// reaches the top of the heap, or by a reap once cancelled items
+// outnumber live ones.
+func (k *Kernel) drop(it *item) {
+	it.clear()
+	k.cancelled++
+	if k.cancelled > k.queued()/2 {
+		k.reap()
+	}
 }
 
 // Pending reports whether the event has neither fired nor been cancelled.
@@ -300,7 +305,8 @@ func (k *Kernel) EventsFired() uint64 {
 }
 
 // Pending returns the number of live (non-cancelled) events currently
-// queued. Inside a callback the firing event no longer counts.
+// queued; an armed Timer counts once. Inside a callback the firing event
+// no longer counts.
 func (k *Kernel) Pending() int { return k.queued() - k.cancelled }
 
 // queued returns the number of heap slots holding a queued event, live
@@ -420,18 +426,27 @@ func (k *Kernel) settle() {
 	}
 }
 
-// peek settles the heap, drops cancelled events from its top, and reports
-// whether queue[0] holds a live event.
+// peek settles the heap, drops cancelled events from its top, moves a
+// timer item that surfaces under an older key than its timer's last
+// reset to that key (see Timer), and reports whether queue[0] holds a
+// live event due under its final key.
 func (k *Kernel) peek() bool {
 	k.settle()
 	for len(k.queue) > 0 {
 		it := k.queue[0].it
-		if it.live() {
-			return true
+		if !it.live() {
+			k.cancelled-- // cancelled; lazily deleted here
+			k.recycle(it)
+			k.popRoot()
+			continue
 		}
-		k.cancelled-- // cancelled; lazily deleted here
-		k.recycle(it)
-		k.popRoot()
+		if m, ok := it.arg.(*timerMark); ok && it.seq != m.seq {
+			it.schedAt, it.seq = m.schedAt, m.seq
+			m.itAt = m.at
+			k.siftDown(0, heapEnt{at: m.at, it: it})
+			continue
+		}
+		return true
 	}
 	return false
 }

@@ -539,3 +539,65 @@ func TestEventAtForeverFires(t *testing.T) {
 		t.Fatalf("event at Forever: fired=%v, clock %v", fired, k.Now())
 	}
 }
+
+// TestTimerKeepsOneItem pins what the lazy timer saves and what it keeps:
+// a thousand resets to later deadlines leave one item in the heap, and
+// the timer still fires once, at its last deadline, between the
+// same-instant events scheduled before and after that last reset — where
+// Cancel plus At would have put it. Only the fire counts as an event.
+func TestTimerKeepsOneItem(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	tm := k.NewTimer(func() { got = append(got, "timer") })
+	last := simtime.Time(2000 * simtime.Nanosecond)
+	for i := 1; i <= 1000; i++ {
+		if i == 1000 {
+			k.At(last, func() { got = append(got, "before") })
+		}
+		tm.ResetAt(simtime.Time(i) * simtime.Time(2*simtime.Nanosecond))
+	}
+	k.At(last, func() { got = append(got, "after") })
+	if len(k.queue) != 3 || k.Pending() != 3 || !tm.Armed() {
+		t.Fatalf("heap holds %d items, Pending() = %d, Armed() = %v; want 3, 3, true", len(k.queue), k.Pending(), tm.Armed())
+	}
+	k.Run()
+	if fmt.Sprint(got) != "[before timer after]" || k.Now() != last {
+		t.Fatalf("fired %v ending at %v, want [before timer after] at %v", got, k.Now(), last)
+	}
+	if k.EventsFired() != 3 || tm.Armed() {
+		t.Fatalf("EventsFired() = %d, Armed() = %v after the run; want 3, false", k.EventsFired(), tm.Armed())
+	}
+}
+
+// TestTimerEarlierResetAndStop checks the two paths that abandon the
+// queued item: a reset to an earlier deadline and a Stop. The abandoned
+// item never fires, and a reset from inside the timer's own callback
+// re-arms it.
+func TestTimerEarlierResetAndStop(t *testing.T) {
+	k := NewKernel(1)
+	var fires []simtime.Time
+	var tm *Timer
+	tm = k.NewTimer(func() {
+		fires = append(fires, k.Now())
+		if len(fires) == 1 {
+			tm.Reset(10 * simtime.Nanosecond)
+		}
+	})
+	tm.Reset(simtime.Microsecond)
+	tm.Reset(5 * simtime.Nanosecond) // earlier: a fresh item
+	if k.Pending() != 1 {
+		t.Fatalf("Pending() = %d after an earlier reset, want 1", k.Pending())
+	}
+	k.Run()
+	if fmt.Sprint(fires) != "[5ns 15ns]" {
+		t.Fatalf("timer fired at %v, want [5ns 15ns]", fires)
+	}
+	tm.Reset(simtime.Microsecond)
+	if !tm.Stop() || tm.Stop() || tm.Armed() || k.Pending() != 0 {
+		t.Fatal("Stop must disarm an armed timer once and leave nothing pending")
+	}
+	k.Run()
+	if len(fires) != 2 || k.EventsFired() != 2 {
+		t.Fatalf("a stopped timer fired: %v, %d events", fires, k.EventsFired())
+	}
+}

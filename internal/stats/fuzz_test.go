@@ -47,9 +47,8 @@ func sameBuckets(a, b *Histogram) bool {
 }
 
 // checkHist compares h against the samples it has seen, sorted: Count,
-// Min and Max exactly, each fuzzQuantiles rank within the midpoint
-// bound sqrt(gamma) of the sample at rank ceil(q·n) (0 when that sample
-// is non-positive), and CountAbove at every fuzzValues threshold.
+// Min and Max exactly, the quantiles (see checkQuantiles), and
+// CountAbove at every fuzzValues threshold.
 func checkHist(t *testing.T, step int, name string, h *Histogram, samples []float64) {
 	t.Helper()
 	s := slices.Clone(samples)
@@ -65,20 +64,7 @@ func checkHist(t *testing.T, step int, name string, h *Histogram, samples []floa
 	if n == 0 {
 		return
 	}
-	bound := math.Sqrt(gamma) * (1 + 1e-9)
-	for _, q := range fuzzQuantiles {
-		rank := max(int(math.Ceil(q*float64(n))), 1)
-		truth, got := s[rank-1], h.Quantile(q)
-		if truth <= 0 {
-			if got != 0 {
-				t.Fatalf("step %d %s: q=%g = %g, want 0 for the non-positive sample %g", step, name, q, got, truth)
-			}
-			continue
-		}
-		if r := got / truth; !(r <= bound && r >= 1/bound) {
-			t.Fatalf("step %d %s: q=%g = %g, sample at rank %d is %g (ratio %g)", step, name, q, got, rank, truth, r)
-		}
-	}
+	checkQuantiles(t, step, name, h, s)
 	above := func(x float64) uint64 {
 		var c uint64
 		for _, v := range s {
@@ -107,13 +93,36 @@ func checkHist(t *testing.T, step int, name string, h *Histogram, samples []floa
 	}
 }
 
+// checkQuantiles checks each fuzzQuantiles rank of h within the
+// midpoint bound sqrt(gamma) of the sample at rank ceil(q·n) of sorted,
+// or 0 when that sample is non-positive.
+func checkQuantiles(t *testing.T, step int, name string, h *Histogram, sorted []float64) {
+	t.Helper()
+	n := len(sorted)
+	bound := math.Sqrt(gamma) * (1 + 1e-9)
+	for _, q := range fuzzQuantiles {
+		rank := max(int(math.Ceil(q*float64(n))), 1)
+		truth, got := sorted[rank-1], h.Quantile(q)
+		if truth <= 0 {
+			if got != 0 {
+				t.Fatalf("step %d %s: q=%g = %g, want 0 for the non-positive sample %g", step, name, q, got, truth)
+			}
+			continue
+		}
+		if r := got / truth; !(r <= bound && r >= 1/bound) {
+			t.Fatalf("step %d %s: q=%g = %g, sample at rank %d is %g (ratio %g)", step, name, q, got, rank, truth, r)
+		}
+	}
+}
+
 // FuzzHistogram drives two histograms through Observe, Clone, Since and
 // Merge, decoded two bytes per operation (the operation and histogram,
 // then a fuzzValues index), and checks both against the sorted samples
 // each has seen after every operation (see checkHist). A Merge must
 // equal the histogram of the pooled samples, quantiles bit for bit, and
 // a Since window must hold exactly the samples observed after the Clone
-// it is taken against (every sample when none was taken).
+// it is taken against (every sample when none was taken), with its
+// quantiles within sqrt(gamma) of those samples.
 func FuzzHistogram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hs := [2]*Histogram{NewHistogram(), NewHistogram()}
@@ -138,10 +147,15 @@ func FuzzHistogram(f *testing.F) {
 				if c := snaps[which]; c != nil && c.Count() != uint64(snapLen[which]) {
 					t.Fatalf("step %d: clone saw later samples: count %d, cloned at %d", step, c.Count(), snapLen[which])
 				}
-				w, want := h.Since(snaps[which]), histOf(ref[which][snapLen[which]:])
+				win := slices.Clone(ref[which][snapLen[which]:])
+				w, want := h.Since(snaps[which]), histOf(win)
 				if !sameBuckets(w, want) {
 					t.Fatalf("step %d: Since = %d samples %v + %d non-positive, want %d samples %v + %d",
 						step, w.total, w.counts, w.zero, want.total, want.counts, want.zero)
+				}
+				if len(win) > 0 {
+					slices.Sort(win)
+					checkQuantiles(t, step, "since", w, win)
 				}
 			case 3:
 				if len(ref[0])+len(ref[1]) > fuzzMaxSamples {

@@ -175,9 +175,10 @@ func (h *Histogram) Clone() *Histogram {
 
 // Since returns the samples h has accumulated beyond the earlier
 // snapshot prev (taken with Clone from this same histogram): a
-// bucket-wise difference. Min/max of the window are approximated by its
-// occupied buckets' upper bounds (0 for non-positive samples); quantiles
-// are exact to bucket resolution, which is what windowed gating needs.
+// bucket-wise difference. The window's samples are known only to their
+// buckets, so its min, max and sum take each occupied bucket's geometric
+// midpoint (0 for non-positive samples), and its quantiles are within
+// sqrt(gamma) of the window's samples, like a whole histogram's.
 func (h *Histogram) Since(prev *Histogram) *Histogram {
 	if prev == nil {
 		return h.Clone()
@@ -191,7 +192,7 @@ func (h *Histogram) Since(prev *Histogram) *Histogram {
 			continue
 		}
 		w.counts[i] = d
-		v := math.Pow(gamma, float64(i))
+		v := midpoint(i)
 		w.sum += v * float64(d)
 		if w.total == 0 || v < w.min {
 			w.min = v

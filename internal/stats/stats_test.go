@@ -146,6 +146,28 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestHistogramSinceWindowQuantiles pins a window's quantiles to the
+// midpoint bound of a whole histogram: 100 samples of 5000 observed after
+// a Clone must read within sqrt(gamma) of 5000 at p50 and p99, as the
+// histogram of those samples alone does (a window used to answer its
+// bucket's upper bound, 5089.5).
+func TestHistogramSinceWindowQuantiles(t *testing.T) {
+	h := NewHistogram()
+	for i := 1; i <= 1000; i++ {
+		h.Observe(float64(i))
+	}
+	snap := h.Clone()
+	for i := 0; i < 100; i++ {
+		h.Observe(5000)
+	}
+	w := h.Since(snap)
+	for _, q := range []float64{0.5, 0.99} {
+		if r := w.Quantile(q) / 5000; r > math.Sqrt(gamma) || r < 1/math.Sqrt(gamma) {
+			t.Errorf("window q=%g = %g, want within sqrt(%g) of 5000", q, w.Quantile(q), gamma)
+		}
+	}
+}
+
 func TestHistogramSummary(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(90e6) // 90us in ps

@@ -80,7 +80,8 @@ func (k OpKind) String() string {
 // and a deterministic random stream.
 type Endpoint interface {
 	Now() simtime.Time
-	After(d simtime.Duration, fn func()) sim.Handle
+	// NewTimer returns a disarmed timer running fn on the NIC's kernel.
+	NewTimer(fn func()) *sim.Timer
 	// Kick tells the NIC's transmit scheduler this QP may have become
 	// ready.
 	Kick()
@@ -257,11 +258,10 @@ type QP struct {
 
 	// Requester state.
 	ops     []*op
-	nextPSN uint32 // next PSN to assign to a new op
-	sndNxt  uint32 // next PSN to transmit
-	sndUna  uint32 // oldest unacknowledged PSN
-	retx    sim.Handle
-	retxEv  func() // resident timeout callback (one closure per QP)
+	nextPSN uint32     // next PSN to assign to a new op
+	sndNxt  uint32     // next PSN to transmit
+	sndUna  uint32     // oldest unacknowledged PSN
+	retx    *sim.Timer // retransmission timer, pushed out on every send and ack
 
 	// Responder state.
 	ePSN   uint32 // expected request PSN
@@ -303,7 +303,7 @@ func New(ep Endpoint, cfg Config) *QP {
 		cfg.Metrics = &Metrics{} // nil counters: metrics become no-ops
 	}
 	q := &QP{ep: ep, cfg: cfg, aud: cfg.Audit}
-	q.retxEv = q.onRetxTimeout
+	q.retx = ep.NewTimer(q.onRetxTimeout)
 	q.strat = cfg.Strategy
 	if q.strat == nil {
 		switch cfg.Recovery {
@@ -493,13 +493,20 @@ func (q *QP) emitRequest(o *op, psn uint32, now simtime.Time, advance bool) *pac
 		}
 	}
 
-	q.S.PacketsSent++
-	q.S.BytesSent += uint64(p.WireLen())
-	q.cfg.Metrics.PacketsSent.Inc()
-	q.cfg.Metrics.BytesSent.Add(uint64(p.WireLen()))
-	q.pacer.Charge(now, p.WireLen())
+	q.account(p, now)
 	q.armRetx()
 	return p
+}
+
+// account counts an emitted request or read-response packet and charges
+// it to the pacer.
+func (q *QP) account(p *packet.Packet, now simtime.Time) {
+	wire := p.WireLen()
+	q.S.PacketsSent++
+	q.S.BytesSent += uint64(wire)
+	q.cfg.Metrics.PacketsSent.Inc()
+	q.cfg.Metrics.BytesSent.Add(uint64(wire))
+	q.pacer.Charge(now, wire)
 }
 
 // mtuWireLen is the wire size of a full-MTU data segment — what the IRN
@@ -539,11 +546,7 @@ func (q *QP) popReadResponse(now simtime.Time) *packet.Packet {
 	if rs.nextPSN == rs.endPSN {
 		q.reads = q.reads[1:]
 	}
-	q.S.PacketsSent++
-	q.S.BytesSent += uint64(p.WireLen())
-	q.cfg.Metrics.PacketsSent.Inc()
-	q.cfg.Metrics.BytesSent.Add(uint64(p.WireLen()))
-	q.pacer.Charge(now, p.WireLen())
+	q.account(p, now)
 	return p
 }
 
@@ -592,10 +595,7 @@ func (q *QP) newCtl(op packet.Opcode) *packet.Packet {
 // strategy picks now (per-flow for IRN, the QP-wide RetxTimeout
 // otherwise).
 func (q *QP) armRetx() {
-	if q.retx.Pending() {
-		q.retx.Cancel()
-	}
-	q.retx = q.ep.After(q.strat.retxTimeout(q), q.retxEv)
+	q.retx.Reset(q.strat.retxTimeout(q))
 }
 
 // onRetxTimeout fires when no progress has been made for RetxTimeout.
@@ -814,11 +814,9 @@ func (q *QP) handleAck(p *packet.Packet) {
 		q.aud.AckAdvance(q, from, acked)
 	}
 	q.strat.onCumAdvance(q, from, acked)
-	q.completeOps()
+	q.completeOps() // stops the timer when nothing is left outstanding
 	if len(q.ops) > 0 {
 		q.armRetx()
-	} else if q.retx.Pending() {
-		q.retx.Cancel()
 	}
 }
 
@@ -884,8 +882,8 @@ func (q *QP) completeOps() {
 			o.onDone(o.posted, now)
 		}
 	}
-	if len(q.ops) == 0 && q.retx.Pending() {
-		q.retx.Cancel()
+	if len(q.ops) == 0 {
+		q.retx.Stop()
 	}
 }
 

@@ -18,13 +18,11 @@ type stubEP struct {
 	ipid  uint16
 }
 
-func (e *stubEP) Now() simtime.Time { return e.k.Now() }
-func (e *stubEP) After(d simtime.Duration, fn func()) sim.Handle {
-	return e.k.After(d, fn)
-}
-func (e *stubEP) Kick()            { e.kicks++ }
-func (e *stubEP) Rand() *rand.Rand { return e.k.Rand("stub") }
-func (e *stubEP) NextIPID() uint16 { e.ipid++; return e.ipid }
+func (e *stubEP) Now() simtime.Time             { return e.k.Now() }
+func (e *stubEP) NewTimer(fn func()) *sim.Timer { return e.k.NewTimer(fn) }
+func (e *stubEP) Kick()                         { e.kicks++ }
+func (e *stubEP) Rand() *rand.Rand              { return e.k.Rand("stub") }
+func (e *stubEP) NextIPID() uint16              { e.ipid++; return e.ipid }
 
 func newPair(k *sim.Kernel) (*QP, *QP, *stubEP, *stubEP) {
 	return newPairRec(k, GoBack0)
