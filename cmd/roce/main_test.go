@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -95,6 +96,28 @@ func TestResultsPinned(t *testing.T) {
 			}
 			pin(t, want, out)
 			pin(t, filepath.Join(root, p.pcap), pcap)
+		})
+	}
+}
+
+// TestExamplesPinned runs the examples whose output docs/results/
+// keeps and requires the checked-in bytes; -update rewrites them too.
+func TestExamplesPinned(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(wd, "..", "..")
+	for _, name := range []string{"quickstart", "keyvalue"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command("go", "run", "./examples/"+name)
+			cmd.Dir, cmd.Stdout, cmd.Stderr = root, &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("go run ./examples/%s: %v\n%s", name, err, stderr.String())
+			}
+			pin(t, filepath.Join(root, "docs", "results", "example-"+name+".txt"), stdout.Bytes())
 		})
 	}
 }

@@ -182,7 +182,8 @@ var Scenarios = []Scenario{
 	{Name: "fig8", Doc: "Fig 8 RDMA latency under bulk load",
 		Has: HasSeed | HasDuration, run: text(runFig8Scenario)},
 	{Name: "pingmesh", Doc: "§5.3 RDMA Pingmesh on two podsets, one dead server",
-		Has: HasSeed | HasShards | HasDuration | HasSnapshot, run: runPingmesh},
+		Has: HasSeed | HasShards | HasDuration | HasSnapshot, Gate: &Options{Duration: 300 * simtime.Millisecond},
+		run: runPingmesh},
 	{Name: "pingmesh-sweep", Doc: "§5.3 sampled mesh over a 20,160-server fleet (-podsets)",
 		Has: HasSeed | HasShards | HasDuration | HasPodsets, run: runPingmeshSweepScenario},
 	{Name: "metrics", Doc: "full registry snapshot of two bulk flows into one server",
@@ -332,6 +333,7 @@ func runPingmesh(o Options) (Result, error) {
 
 	pm.Start()
 	k.RunUntil(simtime.Time(o.Duration))
+	pm.Fold() // a sharded run's RTTs reach the registry here
 	snap := k.Metrics().Snapshot()
 	return Result{Snapshot: snap, Text: pm.Report() +
 		"paper: Pingmesh RTTs are the health signal; probe failures localize incidents\n" +

@@ -360,14 +360,11 @@ func (s *Switch) AttachLink(n int, l *link.Link, side int, peerMAC packet.MAC, s
 	ps.serverFacing = serverFacing
 	ps.egress = link.NewEgress(s.k, l, side)
 	ps.egress.OnTransmit = func(it link.Item) { s.onTransmit(n, it) }
-	ps.pauser = pfc.NewRefresher(s.mac, l.Rate(),
-		func(p *packet.Packet) {
-			ps.egress.EnqueueControl(p)
-			ps.TxPause.Inc()
-			s.C.PauseTx.Inc()
-		},
-		s.k.Now,
-		func(d simtime.Duration, fn func()) func() bool { return s.k.After(d, fn).Cancel })
+	ps.pauser = pfc.NewRefresher(s.k, s.mac, l.Rate(), func(p *packet.Packet) {
+		ps.egress.EnqueueControl(p)
+		ps.TxPause.Inc()
+		s.C.PauseTx.Inc()
+	})
 	ps.pauser.Pool = s.k.PacketPool()
 	ps.wdTrip = pfc.NewWatchdog(s.cfg.Watchdog.TripWindow)
 	reg := s.k.Metrics()

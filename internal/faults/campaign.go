@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"strings"
 
@@ -100,7 +101,9 @@ func (c Campaign) Run() *Scorecard {
 // samples per-interval throughput.
 func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	cell := Cell{Scenario: s.Name, Fault: f.Name, Transport: s.Transport.String(), Expect: f.Expect}
-	k := sim.NewKernel(c.Seed ^ int64(fnv64(s.Name+"/"+f.Name)))
+	h := fnv.New64a()
+	h.Write([]byte(s.Name + "/" + f.Name))
+	k := sim.NewKernel(c.Seed ^ int64(h.Sum64()))
 	aud := invariant.Attach(k, invariant.Options{})
 	rec := flighttrace.NewRecorder(128).Attach(k.Trace(), telemetry.EvAll)
 
@@ -300,19 +303,6 @@ func mean(xs []float64) float64 {
 }
 
 func round3(x float64) float64 { return math.Round(x*1000) / 1000 }
-
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
 
 // scaleWatchdogs shrinks the §4.3 watchdog time constants from their
 // production values (order 100 ms) to simulation scale, so a campaign

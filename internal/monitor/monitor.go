@@ -96,12 +96,18 @@ type Pingmesh struct {
 }
 
 type meshPair struct {
-	pp    workload.PingPong
-	a, b  *topology.Server
-	scope ProbeScope
-	shard int // client NIC's shard, 0 when unsharded
-	// outstanding guards against piling probes onto a stuck path.
-	outstanding bool
+	pp      workload.PingPong
+	a, b    *topology.Server
+	scope   ProbeScope
+	shard   int                        // client NIC's shard, 0 when unsharded
+	timeout *sim.Timer                 // the outstanding probe's deadline
+	answer  func(rtt simtime.Duration) // every probe's Query callback
+	// outstanding guards against piling probes onto a stuck path. The
+	// pair answers probes in the order they were sent, so an answer
+	// settles the outstanding probe only when it is the sent-th; an
+	// earlier one belongs to a probe that already timed out.
+	outstanding    bool
+	sent, answered uint64
 }
 
 // NewPingmesh builds an empty mesh. Its per-scope RTT histograms are
@@ -154,7 +160,14 @@ func (pm *Pingmesh) AddPair(net *topology.Network, a, b *topology.Server) {
 	if shard < 0 {
 		shard = 0
 	}
-	pm.pairs = append(pm.pairs, &meshPair{pp: pp, a: a, b: b, scope: scope, shard: shard})
+	pm.add(&meshPair{pp: pp, a: a, b: b, scope: scope, shard: shard})
+}
+
+// add wires a pair's timeout and answer callbacks and registers it.
+func (pm *Pingmesh) add(p *meshPair) {
+	p.timeout = pm.k.NewTimer(func() { pm.timedOut(p) })
+	p.answer = func(rtt simtime.Duration) { pm.answered(p, rtt) }
+	pm.pairs = append(pm.pairs, p)
 }
 
 // Start begins probing all registered pairs.
@@ -174,50 +187,50 @@ func (pm *Pingmesh) probe(p *meshPair) {
 		return
 	}
 	p.outstanding = true
+	p.sent++
 	pm.Probes++
-	// settled flips exactly once, on whichever of answer/timeout comes
-	// first; the loser is a no-op. In particular an answer arriving
-	// after the timeout already counted the probe failed must not also
-	// record its (pathological) RTT.
-	settled := false
-	timeout := pm.k.After(pm.cfg.Timeout, func() {
-		if settled {
-			return
-		}
-		settled = true
-		p.outstanding = false
-		pm.Failures[p.scope]++
-		if pm.OnResult != nil {
-			pm.OnResult(p.a, p.b, p.scope, pm.cfg.Timeout, false)
-		}
-	})
-	p.pp.Query(pm.cfg.ProbeSize, pm.cfg.ProbeSize, func(rtt simtime.Duration) {
-		if settled {
-			return
-		}
-		settled = true
-		p.outstanding = false
-		if !pm.sharded {
-			// Cancelling saves heap space on the single kernel. In a
-			// sharded run this callback executes on the client shard and
-			// the timeout lives on the barrier-owned global heap, so the
-			// timer is left to fire as a settled no-op instead.
-			timeout.Cancel()
-		}
-		if pm.sharded {
-			pm.perShard[p.shard][p.scope].Observe(float64(rtt))
-		} else {
-			pm.RTT[p.scope].Observe(float64(rtt))
-		}
-		if pm.OnResult != nil {
-			pm.OnResult(p.a, p.b, p.scope, rtt, true)
-		}
-	})
+	p.timeout.Reset(pm.cfg.Timeout)
+	p.pp.Query(pm.cfg.ProbeSize, pm.cfg.ProbeSize, p.answer)
 }
 
-// fold drains the per-shard scratch histograms into the published RTT
-// histograms. Callers run at a barrier (after RunUntil returns).
-func (pm *Pingmesh) fold() {
+// timedOut counts the outstanding probe failed.
+func (pm *Pingmesh) timedOut(p *meshPair) {
+	if !p.outstanding {
+		return // answered on a shard, which cannot stop the global timer
+	}
+	p.outstanding = false
+	pm.Failures[p.scope]++
+	if pm.OnResult != nil {
+		pm.OnResult(p.a, p.b, p.scope, pm.cfg.Timeout, false)
+	}
+}
+
+// answered records the RTT of the outstanding probe. An answer arriving
+// after its probe timed out must not also record its (pathological) RTT.
+func (pm *Pingmesh) answered(p *meshPair, rtt simtime.Duration) {
+	p.answered++
+	if !p.outstanding || p.answered != p.sent {
+		return
+	}
+	p.outstanding = false
+	if pm.sharded {
+		// This runs on the client shard and the timer lives on the
+		// barrier-owned global heap, so it stays armed: the next probe's
+		// reset pushes it back.
+		pm.perShard[p.shard][p.scope].Observe(float64(rtt))
+	} else {
+		p.timeout.Stop()
+		pm.RTT[p.scope].Observe(float64(rtt))
+	}
+	if pm.OnResult != nil {
+		pm.OnResult(p.a, p.b, p.scope, rtt, true)
+	}
+}
+
+// Fold merges the per-shard RTT histograms into the published RTT ones.
+// Callers run it at a barrier (after RunUntil returns) before reading
+// RTT directly or snapshotting the registry; Report folds on its own.
+func (pm *Pingmesh) Fold() {
 	for i, m := range pm.perShard {
 		for s, h := range m {
 			if h.Count() > 0 {
@@ -230,14 +243,9 @@ func (pm *Pingmesh) fold() {
 	}
 }
 
-// Fold publishes the per-shard scratch RTTs into the RTT histograms.
-// Callers run it at a barrier (after RunUntil returns) before reading
-// RTT directly; Report folds on its own.
-func (pm *Pingmesh) Fold() { pm.fold() }
-
 // Report renders a Pingmesh summary.
 func (pm *Pingmesh) Report() string {
-	pm.fold()
+	pm.Fold()
 	out := fmt.Sprintf("pingmesh: %d probes\n", pm.Probes)
 	for _, s := range []ProbeScope{ScopeToR, ScopePodset, ScopeDC} {
 		h := pm.RTT[s]

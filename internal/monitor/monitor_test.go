@@ -163,7 +163,7 @@ func TestPingmeshTimeoutSettlesProbe(t *testing.T) {
 		Timeout:   simtime.Millisecond,
 	})
 	// Answers arrive at 10ms — well past the 1ms timeout.
-	pm.pairs = append(pm.pairs, &meshPair{
+	pm.add(&meshPair{
 		pp:    &slowPingPong{k: k, delay: 10 * simtime.Millisecond},
 		scope: ScopeToR,
 	})

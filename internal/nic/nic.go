@@ -224,13 +224,10 @@ func (n *NIC) Attach(l *link.Link, side int) {
 		}
 		n.txKick()
 	}
-	n.pauser = pfc.NewRefresher(n.cfg.MAC, l.Rate(),
-		func(p *packet.Packet) {
-			n.S.TxPause.Inc()
-			n.eg.EnqueueControl(p)
-		},
-		n.k.Now,
-		func(d simtime.Duration, fn func()) func() bool { return n.k.After(d, fn).Cancel })
+	n.pauser = pfc.NewRefresher(n.k, n.cfg.MAC, l.Rate(), func(p *packet.Packet) {
+		n.S.TxPause.Inc()
+		n.eg.EnqueueControl(p)
+	})
 	n.pauser.Pool = n.k.PacketPool()
 	pfc.RegisterMetrics(n.k.Metrics(), n.cfg.Name,
 		func() *pfc.PauseState { return n.eg.Pause }, n.pauser, n.cfg.LosslessMask)

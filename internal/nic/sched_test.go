@@ -15,10 +15,10 @@ import (
 
 // refScheduler is the transmit scheduler the kicked-QP one replaced,
 // kept as the reference: every kick visits every QP, round robin from
-// rrIdx, and re-arms its wake-up by Cancel and At.
+// rrIdx, and re-arms its wake-up at the earliest ready time.
 type refScheduler struct {
 	n     *NIC
-	armed sim.Handle
+	armed *sim.Timer
 }
 
 func (r *refScheduler) kick() {
@@ -47,10 +47,7 @@ func (r *refScheduler) kick() {
 		}
 		if !sent {
 			if earliest != simtime.Forever {
-				if r.armed.Pending() {
-					r.armed.Cancel()
-				}
-				r.armed = n.k.At(earliest, r.kick)
+				r.armed.ResetAt(earliest)
 			}
 			return
 		}
@@ -77,6 +74,7 @@ func TestTxKickMatchesFullScan(t *testing.T) {
 		r := newRig(t, k, 2, fabric.DefaultConfig("tor", 4), nil)
 		src, dst := r.nics[0], r.nics[1]
 		rs := &refScheduler{n: src}
+		rs.armed = k.NewTimer(rs.kick)
 		if ref {
 			src.eg.OnTransmit = func(link.Item) { rs.kick() }
 		}

@@ -8,6 +8,7 @@ package pfc
 
 import (
 	"rocesim/internal/packet"
+	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/telemetry"
 )
@@ -138,14 +139,12 @@ const MaxQuanta = 0xffff
 // an explicit XON (zero quanta) on release — the standard way switches
 // keep an upstream paused across the paper's long congestion episodes.
 type Refresher struct {
-	src       packet.MAC
-	rate      simtime.Rate
-	send      func(*packet.Packet)
-	now       func() simtime.Time
-	after     func(simtime.Duration, func()) (cancel func() bool)
-	refresh   func() // resident timer callback (one closure per refresher)
-	engaged   uint8  // bitmask of paused priorities
-	scheduled bool   // a refresh timer is outstanding
+	k       *sim.Kernel
+	src     packet.MAC
+	rate    simtime.Rate
+	send    func(*packet.Packet)
+	refresh *sim.Timer // allocated on the first XOFF
+	engaged uint8      // bitmask of paused priorities
 
 	// Pool, when set, supplies recycled frames for pause emission so a
 	// sustained pause episode allocates nothing per refresh.
@@ -157,17 +156,10 @@ type Refresher struct {
 	Disabled bool
 }
 
-// NewRefresher wires a refresher to its environment: a frame sink, a
-// clock, and a timer facility (the sim kernel in production, stubs in
-// tests).
-func NewRefresher(src packet.MAC, rate simtime.Rate, send func(*packet.Packet),
-	now func() simtime.Time, after func(simtime.Duration, func()) func() bool) *Refresher {
-	r := &Refresher{src: src, rate: rate, send: send, now: now, after: after}
-	r.refresh = func() {
-		r.scheduled = false
-		r.emit()
-	}
-	return r
+// NewRefresher returns a refresher that sends its frames to send and
+// schedules its refreshes on k.
+func NewRefresher(k *sim.Kernel, src packet.MAC, rate simtime.Rate, send func(*packet.Packet)) *Refresher {
+	return &Refresher{k: k, src: src, rate: rate, send: send}
 }
 
 // newPause builds a pause frame, recycling from the pool when wired.
@@ -190,7 +182,7 @@ func (r *Refresher) refreshInterval() simtime.Duration {
 // Pause asserts XOFF for priority pri and keeps it asserted until Resume.
 func (r *Refresher) Pause(pri int) {
 	bit := uint8(1) << uint(pri)
-	if r.engaged&bit != 0 && (r.scheduled || r.Disabled) {
+	if r.engaged&bit != 0 && (r.refresh != nil && r.refresh.Armed() || r.Disabled) {
 		// Already engaged with a refresh outstanding (steady state), or
 		// emission is suppressed anyway: nothing to do. An engaged bit
 		// with no refresh scheduled while enabled means the pause was
@@ -239,9 +231,11 @@ func (r *Refresher) emit() {
 	pf := r.newPause(r.engaged, MaxQuanta)
 	r.send(pf)
 	r.TxPause++
-	if !r.scheduled {
-		r.scheduled = true
-		r.after(r.refreshInterval(), r.refresh)
+	if r.refresh == nil {
+		r.refresh = r.k.NewTimer(r.emit)
+	}
+	if !r.refresh.Armed() {
+		r.refresh.Reset(r.refreshInterval())
 	}
 }
 

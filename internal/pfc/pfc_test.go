@@ -91,13 +91,8 @@ func TestAnyPaused(t *testing.T) {
 }
 
 func newTestRefresher(k *sim.Kernel, sent *[]*packet.Packet) *Refresher {
-	return NewRefresher(packet.MAC{0x02, 0, 0, 0, 0, 1}, rate40G,
-		func(p *packet.Packet) { *sent = append(*sent, p) },
-		k.Now,
-		func(d simtime.Duration, fn func()) func() bool {
-			h := k.After(d, fn)
-			return h.Cancel
-		})
+	return NewRefresher(k, packet.MAC{0x02, 0, 0, 0, 0, 1}, rate40G,
+		func(p *packet.Packet) { *sent = append(*sent, p) })
 }
 
 func TestRefresherSustainsPause(t *testing.T) {
@@ -136,11 +131,8 @@ func TestRefresherReceiverNeverResumesEarly(t *testing.T) {
 	// during a sustained pause must always see "paused".
 	k := sim.NewKernel(1)
 	s := NewPauseState(rate40G)
-	var r *Refresher
-	r = NewRefresher(packet.MAC{}, rate40G,
-		func(p *packet.Packet) { s.Handle(k.Now(), p.Pause) },
-		k.Now,
-		func(d simtime.Duration, fn func()) func() bool { return k.After(d, fn).Cancel })
+	r := NewRefresher(k, packet.MAC{}, rate40G,
+		func(p *packet.Packet) { s.Handle(k.Now(), p.Pause) })
 	r.Pause(4)
 	gaps := 0
 	tick := k.NewTicker(50*simtime.Microsecond, func() {

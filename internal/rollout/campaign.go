@@ -1,6 +1,7 @@
 package rollout
 
 import (
+	"hash/fnv"
 	"rocesim/internal/core"
 	"rocesim/internal/fabric"
 	"rocesim/internal/health"
@@ -181,7 +182,9 @@ func (c Campaign) runCase(cs Case) Cell {
 	if shards < 1 {
 		shards = 1
 	}
-	k := sim.NewRoot(c.Seed^int64(fnv64(cs.Name)), shards)
+	h := fnv.New64a()
+	h.Write([]byte(cs.Name))
+	k := sim.NewRoot(c.Seed^int64(h.Sum64()), shards)
 	aud := invariant.Attach(k, invariant.Options{})
 
 	// Two podsets, two ToRs each, two spines: big enough for the full
@@ -363,17 +366,4 @@ func mean(xs []float64) float64 {
 
 func hasSuffix(s, suffix string) bool {
 	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
-}
-
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

@@ -82,10 +82,10 @@ func TestRescheduleInsideEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestArgEventZeroAlloc pins AfterArg with a pointer payload at zero
-// allocations: pointers stored in an interface don't box, which is what
-// lets packet delivery reuse one resident ArgEvent instead of a closure
-// per hop.
+// TestArgEventZeroAlloc pins ScheduleOnLane with a pointer payload at
+// zero allocations: pointers stored in an interface don't box, which is
+// what lets packet delivery reuse one resident ArgEvent instead of a
+// closure per hop.
 func TestArgEventZeroAlloc(t *testing.T) {
 	k := NewKernel(1)
 	type payload struct{ n int }
@@ -93,47 +93,19 @@ func TestArgEventZeroAlloc(t *testing.T) {
 	var fn ArgEvent = func(arg any) { arg.(*payload).n++ }
 
 	for i := 0; i < 64; i++ {
-		k.AfterArg(simtime.Nanosecond, fn, p)
+		k.ScheduleOnLane(k, k.Now().Add(simtime.Nanosecond), 0, fn, p)
 	}
 	k.Run()
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.AfterArg(simtime.Nanosecond, fn, p)
+		k.ScheduleOnLane(k, k.Now().Add(simtime.Nanosecond), 0, fn, p)
 		k.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state AfterArg allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state ScheduleOnLane allocated %.1f times per run, want 0", allocs)
 	}
 	if p.n == 0 {
 		t.Fatal("ArgEvent never fired")
-	}
-}
-
-// TestCancelRearmZeroAlloc pins the retransmit-timer pattern — cancel a
-// pending event and schedule a replacement — at zero allocations. This
-// is the path transport re-arms on every ack.
-func TestCancelRearmZeroAlloc(t *testing.T) {
-	k := NewKernel(1)
-	var nop Event = func() {}
-	var timer Handle
-
-	for i := 0; i < 64; i++ {
-		if timer.Pending() {
-			timer.Cancel()
-		}
-		timer = k.After(simtime.Microsecond, nop)
-	}
-	k.Run()
-
-	allocs := testing.AllocsPerRun(1000, func() {
-		if timer.Pending() {
-			timer.Cancel()
-		}
-		timer = k.After(simtime.Microsecond, nop)
-		k.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("cancel+re-arm allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -191,10 +163,11 @@ func TestPacketPoolZeroAlloc(t *testing.T) {
 }
 
 // TestCancelStressFreeList hammers the free-list/reap interaction:
-// thousands of events scheduled at random offsets, a large random
-// subset cancelled (forcing lazy-cancellation reaps mid-run), items
-// recycled and re-scheduled across generations. Exactly the
-// non-cancelled events must fire, in timestamp order.
+// thousands of timers armed at random offsets, a large random subset
+// stopped (forcing lazy-deletion reaps mid-run), items recycled and
+// re-armed round after round. Exactly the timers not stopped must fire,
+// in timestamp order, and a Stop of a last-round timer, whose item now
+// serves this round, must do nothing.
 func TestCancelStressFreeList(t *testing.T) {
 	const rounds = 20
 	const perRound = 500
@@ -202,31 +175,42 @@ func TestCancelStressFreeList(t *testing.T) {
 	k := NewKernel(42)
 	rng := rand.New(rand.NewSource(7))
 
+	var prev []*Timer
 	for round := 0; round < rounds; round++ {
 		fired := make(map[int]bool, perRound)
-		handles := make([]Handle, perRound)
+		timers := make([]*Timer, perRound)
 		ids := make([]int, perRound)
 		var lastAt simtime.Time
 		for i := 0; i < perRound; i++ {
 			id := i
 			ids[i] = id
 			at := k.Now().Add(simtime.Duration(1+rng.Intn(1000)) * simtime.Nanosecond)
-			handles[i] = k.At(at, func() {
+			timers[i] = k.NewTimer(func() {
 				if k.Now() < lastAt {
-					t.Errorf("round %d: event %d fired at %v after %v", round, id, k.Now(), lastAt)
+					t.Errorf("round %d: timer %d fired at %v after %v", round, id, k.Now(), lastAt)
 				}
 				lastAt = k.Now()
 				fired[id] = true
 			})
+			timers[i].ResetAt(at)
 		}
 
-		// Cancel ~60% so the cancelled count crosses the reap
-		// threshold (cancelled > len(queue)/2) while events remain.
+		// The previous round's timers, fired or stopped, must be inert:
+		// their items have been recycled to this round's timers, which
+		// must all still fire or stop as told below.
+		for i, tm := range prev {
+			if tm.Armed() || tm.Stop() {
+				t.Fatalf("round %d: disarmed timer %d of the last round is armed or stopped", round, i)
+			}
+		}
+
+		// Stop ~60% so the dropped count crosses the reap threshold
+		// (cancelled > len(queue)/2) while events remain.
 		cancelled := make(map[int]bool, perRound)
 		for i := 0; i < perRound; i++ {
 			if rng.Intn(10) < 6 {
-				if !handles[i].Cancel() {
-					t.Fatalf("round %d: cancel of pending event %d failed", round, i)
+				if !timers[i].Stop() {
+					t.Fatalf("round %d: stop of armed timer %d failed", round, i)
 				}
 				cancelled[i] = true
 			}
@@ -236,52 +220,15 @@ func TestCancelStressFreeList(t *testing.T) {
 
 		for i := 0; i < perRound; i++ {
 			if cancelled[i] && fired[i] {
-				t.Fatalf("round %d: cancelled event %d fired", round, i)
+				t.Fatalf("round %d: stopped timer %d fired", round, i)
 			}
 			if !cancelled[i] && !fired[i] {
-				t.Fatalf("round %d: live event %d never fired", round, i)
-			}
-		}
-
-		// Stale handles must be inert: their items have been recycled
-		// to new tenants, and generation counters make Cancel a no-op.
-		for i := 0; i < perRound; i++ {
-			if handles[i].Pending() {
-				t.Fatalf("round %d: handle %d still pending after Run", round, i)
-			}
-			if handles[i].Cancel() {
-				t.Fatalf("round %d: stale handle %d cancel succeeded", round, i)
+				t.Fatalf("round %d: armed timer %d never fired", round, i)
 			}
 		}
 		if k.Pending() != 0 {
 			t.Fatalf("round %d: %d events pending after Run", round, k.Pending())
 		}
-	}
-}
-
-// TestStaleHandleCannotKillRecycledItem is the targeted version of the
-// generation-counter guarantee: a handle kept past its event's death
-// must not cancel the item's next tenant.
-func TestStaleHandleCannotKillRecycledItem(t *testing.T) {
-	k := NewKernel(1)
-	stale := k.After(simtime.Nanosecond, func() {})
-	k.Run()
-
-	// The free-list now holds the item `stale` pointed at; the next
-	// schedule recycles it for a new event.
-	fired := false
-	fresh := k.After(simtime.Nanosecond, func() { fired = true })
-	if stale.Pending() {
-		t.Fatal("stale handle reports pending")
-	}
-	if stale.Cancel() {
-		t.Fatal("stale handle cancelled a recycled item")
-	}
-	if !fresh.Pending() {
-		t.Fatal("fresh event lost its pending state")
-	}
-	k.Run()
-	if !fired {
-		t.Fatal("recycled item's new tenant never fired")
+		prev = timers
 	}
 }

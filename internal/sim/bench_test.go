@@ -1,6 +1,6 @@
 package sim
 
-// Kernel micro-benchmarks: the schedule/fire/cancel mixes every paper
+// Kernel micro-benchmarks: the schedule/fire/stop mixes every paper
 // artifact reduces to. Each benchmark reports events/s, for measuring
 // while working on the scheduler; whole-simulation speed is measured and
 // compared with `bash bench/run.sh`. The mixes:
@@ -10,14 +10,12 @@ package sim
 //   - HotQueue: a wide queue of self-rescheduling events (depth 512),
 //     the steady state of a busy fabric where every egress and link has
 //     work in flight.
-//   - CancelHeavy: the retransmit-timer pattern — schedule, re-arm
-//     (cancel + schedule) on every ack, where almost no timer ever
-//     fires.
-//   - TimerRearm: the same pattern on a sim.Timer, whose later-deadline
-//     re-arm only records the new key.
+//   - TimerRearm: the retransmit-timer pattern — a sim.Timer pushed back
+//     on every ack, which almost never fires; a later-deadline re-arm
+//     only records the new key.
 //   - Drain: burst-fill then drain, the incast pattern.
-//   - Mixed: interleaved schedule/fire/cancel at the ratios a DCQCN
-//     storm run exhibits (~6 schedules, 1 cancel per 6 fires).
+//   - Mixed: interleaved schedule/fire/stop at the ratios a DCQCN storm
+//     run exhibits (~6 schedules, 1 stop per 6 fires).
 //   - Fanout: the rack-scale dispatch shape — a queue about 200 deep
 //     where nearly every fired event schedules a follow-up from inside
 //     its callback, with delays from a fixed mix (about 40% under
@@ -70,30 +68,6 @@ func BenchmarkKernelHotQueue(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkKernelCancelHeavy(b *testing.B) {
-	k := NewKernel(1)
-	nop := func() {}
-	n := 0
-	var fn Event
-	var timer Handle
-	fn = func() {
-		// Progress was made: re-arm the retransmit timer far out.
-		if timer.Pending() {
-			timer.Cancel()
-		}
-		timer = k.After(500*simtime.Microsecond, nop)
-		n++
-		if n < b.N {
-			k.After(simtime.Nanosecond, fn)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.After(simtime.Nanosecond, fn)
-	k.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
 func BenchmarkKernelTimerRearm(b *testing.B) {
 	k := NewKernel(1)
 	timer := k.NewTimer(func() {})
@@ -135,15 +109,17 @@ func BenchmarkKernelMixed(b *testing.B) {
 	k := NewKernel(1)
 	nop := func() {}
 	n := 0
-	var pending [8]Handle
+	var pending [8]*Timer
+	for i := range pending {
+		pending[i] = k.NewTimer(nop)
+	}
 	var fn Event
 	fn = func() {
 		n++
 		i := n & 7
-		if pending[i].Pending() {
-			pending[i].Cancel()
-		}
-		pending[i] = k.After(simtime.Millisecond, nop)
+		// Stop first, so the re-arm drops one item and pushes another.
+		pending[i].Stop()
+		pending[i].Reset(simtime.Millisecond)
 		if n < b.N {
 			k.After(simtime.Nanosecond, fn)
 		}

@@ -47,25 +47,26 @@ func (a *refEvent) before(b *refEvent) bool {
 	return a.id < b.id
 }
 
-// FuzzKernelOrder drives one kernel through At, AtArg, AtObserve,
-// ScheduleOnLane (lanes 0–3), Cancel of a held handle, Timer Reset,
-// ResetAt and Stop on four timers, Step and RunUntil, decoded from the
-// input a byte or two per call, and checks every fire against a
-// reference list ordered by (at, band, schedAt, lane, call order), in
-// which a timer reset is a Cancel of the timer's event plus an At. A
-// fired callback reads its own instructions from the input when it
-// runs: it may cancel one held handle or every one still live (enough
-// to reap while it is still firing, before it schedules anything),
-// reset or stop a timer (its own, inside a timer's callback), then
-// schedule up to three events. Pending() and every Armed() must agree
-// with the reference before, during and after every callback, and a
-// final Run must fire everything still live.
+// FuzzKernelOrder drives one kernel through At, AtObserve,
+// ScheduleOnLane (lanes 0–3), held one-shot timers (a fresh Timer armed
+// by ResetAt) and their Stop, Timer Reset, ResetAt and Stop on four
+// re-armed timers, Step and RunUntil, decoded from the input a byte or
+// two per call, and checks every fire against a reference list ordered
+// by (at, band, schedAt, lane, call order), in which a timer reset drops
+// the timer's event and adds an At. A fired callback reads its own
+// instructions from the input when it runs: it may stop one held timer
+// or every one still armed (enough to reap while it is still firing,
+// before it schedules anything), reset or stop a re-armed timer (its
+// own, inside a timer's callback), then schedule up to three events.
+// Pending() and every re-armed timer's Armed() must agree with the
+// reference before, during and after every callback, and a final Run
+// must fire everything still live.
 func FuzzKernelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)
 		var (
 			live     []*refEvent // reference: scheduled, neither fired nor cancelled
-			held     []Handle    // handles of At, AtArg and AtObserve events
+			held     []*Timer    // the one-shot timers
 			heldRef  []*refEvent
 			timers   [fuzzTimers]*Timer
 			timerRef [fuzzTimers]*refEvent // each timer's live event, nil while disarmed
@@ -102,19 +103,19 @@ func FuzzKernelOrder(f *testing.F) {
 			}
 			t.Fatalf("event %d missing from the reference", ev.id)
 		}
-		cancel := func(i int) {
-			h, ev := held[i], heldRef[i]
-			if h.Pending() != ev.live {
-				t.Fatalf("handle of event %d: Pending() = %v, reference live = %v", ev.id, h.Pending(), ev.live)
+		stop := func(i int) {
+			tm, ev := held[i], heldRef[i]
+			if tm.Armed() != ev.live {
+				t.Fatalf("one-shot timer of event %d: Armed() = %v, reference live = %v", ev.id, tm.Armed(), ev.live)
 			}
 			wasLive := ev.live
 			if wasLive {
 				drop(ev)
 			}
-			if got := h.Cancel(); got != wasLive {
-				t.Fatalf("Cancel of event %d = %v, reference live = %v", ev.id, got, wasLive)
+			if got := tm.Stop(); got != wasLive {
+				t.Fatalf("Stop of event %d = %v, reference live = %v", ev.id, got, wasLive)
 			}
-			checkPending("after cancel")
+			checkPending("after stop")
 		}
 
 		var onFire func(ev *refEvent)
@@ -180,15 +181,15 @@ func FuzzKernelOrder(f *testing.F) {
 			live = append(live, ev)
 			switch b & 3 {
 			case 0:
-				held = append(held, k.At(ev.at, func() { onFire(ev) }))
-				heldRef = append(heldRef, ev)
+				k.At(ev.at, func() { onFire(ev) })
 			case 1:
-				held = append(held, k.AtArg(ev.at, fireArg, ev))
+				tm := k.NewTimer(func() { onFire(ev) })
+				tm.ResetAt(ev.at)
+				held = append(held, tm)
 				heldRef = append(heldRef, ev)
 			case 2:
 				ev.band = true
-				held = append(held, k.AtObserve(ev.at, func() { onFire(ev) }))
-				heldRef = append(heldRef, ev)
+				k.AtObserve(ev.at, func() { onFire(ev) })
 			case 3:
 				ev.lane = uint64(b >> 5 & 3)
 				k.ScheduleOnLane(k, ev.at, ev.lane, fireArg, ev)
@@ -216,12 +217,12 @@ func FuzzKernelOrder(f *testing.F) {
 			case 5, 6:
 				if len(held) > 0 {
 					i, _ := next()
-					cancel(int(i) % len(held))
+					stop(int(i) % len(held))
 				}
 			case 7:
 				for i := range held {
 					if heldRef[i].live {
-						cancel(i)
+						stop(i)
 					}
 				}
 			}
@@ -250,7 +251,7 @@ func FuzzKernelOrder(f *testing.F) {
 			case 4:
 				if len(held) > 0 {
 					i, _ := next()
-					cancel(int(i) % len(held))
+					stop(int(i) % len(held))
 				}
 			case 5:
 				if b >= 8 { // a timer call; 5 alone is a Step

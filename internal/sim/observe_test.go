@@ -47,29 +47,29 @@ func TestObserverSchedulesNormalNow(t *testing.T) {
 	}
 }
 
-// TestObserverCancelAndRecycle: observer handles cancel like normal
-// ones, and recycled items shed the band bit for their next tenant.
+// TestObserverCancelAndRecycle: items recycled from the observer band,
+// fired or dropped, shed the band bit for their next tenant.
 func TestObserverCancelAndRecycle(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
-	h := k.AfterObserve(3, func() { fired = true })
-	if !h.Pending() {
-		t.Fatal("observer event not pending")
-	}
-	if !h.Cancel() {
-		t.Fatal("cancel failed")
-	}
+	k.AfterObserve(3, func() { fired = true })
+	tm := k.NewTimer(func() { t.Error("stopped timer fired") })
+	tm.Reset(3)
+	tm.Stop()
 	k.Run()
-	if fired {
-		t.Fatal("cancelled observer fired")
+	if !fired {
+		t.Fatal("observer event did not fire")
 	}
-	// Reuse the free-listed item for a normal event: it must fire in the
-	// normal band (before a freshly scheduled observer at the instant).
+	// The normal event and the timer reuse the two free-listed items,
+	// the fired observer's and the dropped timer's: both must fire in the
+	// normal band, before an observer scheduled after them.
 	var order []string
-	k.AtObserve(7, func() { order = append(order, "O") })
 	k.At(7, func() { order = append(order, "N") })
+	tm = k.NewTimer(func() { order = append(order, "T") })
+	tm.ResetAt(7)
+	k.AtObserve(7, func() { order = append(order, "O") })
 	k.Run()
-	if !reflect.DeepEqual(order, []string{"N", "O"}) {
+	if !reflect.DeepEqual(order, []string{"N", "T", "O"}) {
 		t.Fatalf("post-recycle order %v", order)
 	}
 }

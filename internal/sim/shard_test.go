@@ -25,7 +25,7 @@ func (n *pingNode) recv(arg any) {
 		return
 	}
 	n.left--
-	n.k.ScheduleOn(n.peer.k, n.k.Now().Add(n.delay), n.peer.recv, arg.(int)+1)
+	n.k.ScheduleOnLane(n.peer.k, n.k.Now().Add(n.delay), 0, n.peer.recv, arg.(int)+1)
 }
 
 // runPingPong wires two nodes on the given kernels and returns their
@@ -34,7 +34,7 @@ func runPingPong(root, ka, kb *Kernel, delay simtime.Duration, rounds int) strin
 	a := &pingNode{k: ka, delay: delay, left: rounds}
 	b := &pingNode{k: kb, delay: delay, left: rounds}
 	a.peer, b.peer = b, a
-	ka.AtArg(simtime.Time(delay), a.recv, 0)
+	ka.At(simtime.Time(delay), func() { a.recv(0) })
 	root.RunUntil(simtime.Time(uint64(rounds+2) * uint64(delay)))
 	return strings.Join(a.log, " ") + " | " + strings.Join(b.log, " ")
 }
@@ -73,11 +73,11 @@ func TestShardMergeOrderDeterministic(t *testing.T) {
 		record := func(arg any) { got = append(got, arg.(string)) }
 		for _, src := range []int{2, 1} { // schedule high shard first: order must not care
 			src := src
-			g.Shard(src).AtArg(10, func(any) {
+			g.Shard(src).At(10, func() {
 				for i := 0; i < 3; i++ {
-					g.Shard(src).ScheduleOn(sink, 100, record, fmt.Sprintf("s%d#%d", src, i))
+					g.Shard(src).ScheduleOnLane(sink, 100, 0, record, fmt.Sprintf("s%d#%d", src, i))
 				}
-			}, nil)
+			})
 		}
 		g.Global().RunUntil(200)
 		if s := strings.Join(got, " "); s != want {
@@ -112,11 +112,11 @@ func TestShardParallelMatchesSequential(t *testing.T) {
 					return
 				}
 				dst := (j + 1) % 4
-				k.ScheduleOn(g.Shard(dst), k.Now().Add(simtime.Duration(100+10*(n%3))*simtime.Nanosecond), fires[dst], n+1)
+				k.ScheduleOnLane(g.Shard(dst), k.Now().Add(simtime.Duration(100+10*(n%3))*simtime.Nanosecond), 0, fires[dst], n+1)
 			}
 		}
 		for j := 0; j < 4; j++ {
-			g.Shard(j).AtArg(simtime.Time(10*(j+1)), fires[j], 0)
+			g.Shard(j).ScheduleOnLane(g.Shard(j), simtime.Time(10*(j+1)), 0, fires[j], 0)
 		}
 		g.Global().RunUntil(simtime.Time(10 * simtime.Microsecond))
 		var all []string
@@ -142,24 +142,24 @@ func TestShardGlobalRunsAtBarrier(t *testing.T) {
 	counts := make([]int, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		var tick func(any)
-		tick = func(any) {
+		var tick func()
+		tick = func() {
 			counts[i]++
 			if counts[i] < 100 {
-				g.Shard(i).AtArg(g.Shard(i).Now().Add(30*simtime.Nanosecond), tick, nil)
+				g.Shard(i).After(30*simtime.Nanosecond, tick)
 			}
 		}
-		g.Shard(i).AtArg(simtime.Time(30*simtime.Nanosecond), tick, nil)
+		g.Shard(i).At(simtime.Time(30*simtime.Nanosecond), tick)
 	}
 	probes := 0
-	g.Global().AtArg(simtime.Time(90*30*simtime.Nanosecond+1), func(any) { // between shard ticks 90 and 91
+	g.Global().At(simtime.Time(90*30*simtime.Nanosecond+1), func() { // between shard ticks 90 and 91
 		probes++
 		for i, c := range counts {
 			if c != 90 {
 				t.Errorf("global probe saw shard %d count %d, want 90", i, c)
 			}
 		}
-	}, nil)
+	})
 	g.Global().RunUntil(simtime.Time(10 * simtime.Microsecond))
 	if probes != 1 {
 		t.Fatalf("global probe fired %d times, want 1", probes)
@@ -174,10 +174,10 @@ func TestShardGlobalRunsAtBarrier(t *testing.T) {
 func TestShardLookaheadViolationPanics(t *testing.T) {
 	g := NewShardGroup(1, 2)
 	g.SetLookahead(100 * simtime.Nanosecond) // claimed window
-	g.Shard(0).AtArg(10, func(any) {
+	g.Shard(0).At(10, func() {
 		// Actual handoff is only 1ns out — violates the claimed window.
-		g.Shard(0).ScheduleOn(g.Shard(1), 11, func(any) {}, nil)
-	}, nil)
+		g.Shard(0).ScheduleOnLane(g.Shard(1), 11, 0, func(any) {}, nil)
+	})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -195,9 +195,9 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 func TestShardToGlobalSchedulePanics(t *testing.T) {
 	g := NewShardGroup(1, 2)
 	g.SetLookahead(100 * simtime.Nanosecond)
-	g.Shard(0).AtArg(10, func(any) {
-		g.Shard(0).ScheduleOn(g.Global(), 500, func(any) {}, nil)
-	}, nil)
+	g.Shard(0).At(10, func() {
+		g.Shard(0).ScheduleOnLane(g.Global(), 500, 0, func(any) {}, nil)
+	})
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("shard→global schedule did not panic")
@@ -232,10 +232,10 @@ func observeScenario(root, kb *Kernel) string {
 	count := 0
 	bump := func(any) { count++ }
 	var log []string
-	kb.AtArg(at, bump, nil)
+	kb.ScheduleOnLane(kb, at, 0, bump, nil)
 	root.AtObserve(at, func() {
 		log = append(log, fmt.Sprintf("O1 saw %d", count))
-		root.ScheduleOn(kb, at, bump, nil)
+		root.ScheduleOnLane(kb, at, 0, bump, nil)
 		root.At(at, func() { log = append(log, "N") })
 	})
 	root.AtObserve(at, func() { log = append(log, fmt.Sprintf("O2 saw %d", count)) })

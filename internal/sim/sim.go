@@ -42,9 +42,11 @@ type Event func()
 type ArgEvent func(arg any)
 
 // item is one scheduled event. Items are owned by the kernel's free-list:
-// a fired or cancelled item is recycled, and gen is bumped on every
-// recycle so stale Handles can never cancel the item's next occupant.
-// The event's timestamp lives in its heap slot, not here.
+// a fired or dropped item is recycled by the next schedule. Nothing
+// outside the kernel keeps an item except a Timer, which forgets its
+// queued item before the item can be recycled (when it fires or is
+// dropped), so an item needs no generation check. The event's timestamp
+// lives in its heap slot, not here.
 type item struct {
 	// schedAt is the scheduling context's clock when the event was
 	// created; lane disambiguates same-instant schedules from distinct
@@ -57,56 +59,28 @@ type item struct {
 	fn      Event
 	afn     ArgEvent
 	arg     any
-	gen     uint32
 }
 
 // live reports whether the item still carries a callback (not yet fired
-// or cancelled).
+// or dropped).
 func (it *item) live() bool { return it.fn != nil || it.afn != nil }
 
-// clear drops the callbacks and invalidates outstanding handles.
+// clear drops the callbacks.
 func (it *item) clear() {
 	it.fn = nil
 	it.afn = nil
 	it.arg = nil
-	it.gen++
-}
-
-// Handle identifies a scheduled event so it can be cancelled. The
-// generation check makes handles safe across the free-list: a handle to
-// a fired event can never affect the item's next tenant.
-type Handle struct {
-	item *item
-	gen  uint32
-	k    *Kernel
-}
-
-// Cancel removes the event from the queue. Cancelling an already-fired or
-// already-cancelled event is a no-op (including from inside the event's
-// own callback: the event counts as fired once it starts). It reports
-// whether the event was actually pending.
-func (h Handle) Cancel() bool {
-	if h.item == nil || h.item.gen != h.gen || !h.item.live() {
-		return false
-	}
-	h.k.drop(h.item)
-	return true
 }
 
 // drop cancels a queued item: it is cleared and deleted lazily when it
-// reaches the top of the heap, or by a reap once cancelled items
-// outnumber live ones.
+// reaches the top of the heap, or by a reap once dropped items outnumber
+// live ones.
 func (k *Kernel) drop(it *item) {
 	it.clear()
 	k.cancelled++
 	if k.cancelled > k.queued()/2 {
 		k.reap()
 	}
-}
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (h Handle) Pending() bool {
-	return h.item != nil && h.item.gen == h.gen && h.item.live()
 }
 
 // Kernel is the simulation executive: a clock, an event queue, a factory
@@ -122,7 +96,6 @@ type Kernel struct {
 	cancelled int       // items in queue already cleared (lazily deleted)
 	seed      int64
 	fired     uint64
-	halted    bool
 	metrics   *telemetry.Registry
 	trace     *telemetry.TraceBus
 	pool      *packet.Pool
@@ -172,22 +145,18 @@ func (k *Kernel) ShardIndex() int {
 	return k.shard
 }
 
-// ScheduleOn schedules fn(arg) at the absolute time at on dst, which
-// may be any kernel of the same group. Same-kernel (and same-shard, and
-// barrier-context) calls schedule directly; a shard-to-shard call rides
-// the group's outbox and is merged deterministically at the next window
-// barrier. This is the only legal way for one shard's event to cause
-// work on another shard.
-func (k *Kernel) ScheduleOn(dst *Kernel, at simtime.Time, fn ArgEvent, arg any) {
-	k.ScheduleOnLane(dst, at, 0, fn, arg)
-}
-
-// ScheduleOnLane is ScheduleOn with an explicit ordering lane: events
-// for the same destination and instant fire in ascending lane order
-// (then schedule order within a lane), no matter how the simulation is
+// ScheduleOnLane schedules fn(arg) at the absolute time at on dst,
+// which may be any kernel of the same group. Same-kernel (and
+// same-shard, and barrier-context) calls schedule directly; a
+// shard-to-shard call rides the group's outbox and is merged
+// deterministically at the next window barrier. This is the only legal
+// way for one shard's event to cause work on another shard. Events for
+// the same destination and instant fire in ascending lane order (then
+// schedule order within a lane), no matter how the simulation is
 // partitioned. Link delivery uses it with a stable per-wire lane so
-// same-picosecond arrivals at one device keep a canonical order; lane 0
-// (plain ScheduleOn) sorts first.
+// same-picosecond arrivals at one device keep a canonical order; lane 0,
+// which everything else uses, sorts first. With a pointer-typed arg the
+// call performs no allocation.
 func (k *Kernel) ScheduleOnLane(dst *Kernel, at simtime.Time, lane uint64, fn ArgEvent, arg any) {
 	if dst == k || k.group == nil || dst.group != k.group || dst.shard == k.shard {
 		dst.atKeyed(at, k.now, lane, fn, arg)
@@ -534,11 +503,11 @@ func (k *Kernel) recycle(it *item) {
 	k.free = append(k.free, it)
 }
 
-// reap rebuilds the heap with live events only. Called once cancelled
-// items outnumber live ones, so the amortised cost per Cancel is O(1)
-// and a cancel-heavy workload (retransmit timers that almost always get
-// cancelled) cannot hold the queue at its high-water mark. Reached from
-// Cancel, it may run inside a callback, so it settles the heap first.
+// reap rebuilds the heap with live events only. Called once dropped
+// items outnumber live ones, so the amortised cost per drop is O(1) and
+// timers that are stopped far more often than they fire cannot hold the
+// queue at its high-water mark. Reached from Timer.Stop or Reset, it may
+// run inside a callback, so it settles the heap first.
 func (k *Kernel) reap() {
 	k.settle()
 	live := k.queue[:0]
@@ -560,16 +529,6 @@ func (k *Kernel) reap() {
 	k.cancelled = 0
 }
 
-// schedule validates the deadline and enqueues a stamped item.
-func (k *Kernel) schedule(at simtime.Time) *item {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
-	}
-	it := k.newItem()
-	k.push(at, it)
-	return it
-}
-
 // observerBand is OR'ed into an observer event's ordering sequence.
 // before() compares the band bit right after at, ahead of schedAt, lane
 // and the sequence itself, and normal sequence numbers never reach 2^63,
@@ -585,7 +544,31 @@ const observerBand = uint64(1) << 63
 // auditor sweeps — use it so their reads cannot depend on component
 // wiring order. Events an observer schedules "now" run before the
 // remaining observers of the instant (normal band beats observer band).
-func (k *Kernel) AtObserve(at simtime.Time, fn Event) Handle {
+func (k *Kernel) AtObserve(at simtime.Time, fn Event) { k.schedule(at, observerBand, fn) }
+
+// AfterObserve schedules fn in the observer band d after the current
+// time.
+func (k *Kernel) AfterObserve(d simtime.Duration, fn Event) { k.AtObserve(k.after(d), fn) }
+
+// At schedules fn to run at the absolute time at. Scheduling in the past
+// panics: that is always a logic bug in a discrete-event model. An event
+// that may have to be called off or pushed back is a Timer.
+func (k *Kernel) At(at simtime.Time, fn Event) { k.schedule(at, 0, fn) }
+
+// After schedules fn to run d after the current time.
+func (k *Kernel) After(d simtime.Duration, fn Event) { k.At(k.after(d), fn) }
+
+// after returns the time d from now, which must not be in the past.
+func (k *Kernel) after(d simtime.Duration) simtime.Time {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return k.now.Add(d)
+}
+
+// schedule validates the deadline and queues fn at at in the given band
+// (0 or observerBand).
+func (k *Kernel) schedule(at simtime.Time, band uint64, fn Event) {
 	if fn == nil {
 		panic("sim: nil event")
 	}
@@ -593,64 +576,10 @@ func (k *Kernel) AtObserve(at simtime.Time, fn Event) Handle {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
 	it := k.newItem()
-	it.seq |= observerBand
+	it.seq |= band
+	it.fn = fn
 	k.push(at, it)
-	it.fn = fn
-	return Handle{item: it, gen: it.gen, k: k}
 }
-
-// AfterObserve schedules fn in the observer band d after the current
-// time.
-func (k *Kernel) AfterObserve(d simtime.Duration, fn Event) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.AtObserve(k.now.Add(d), fn)
-}
-
-// At schedules fn to run at the absolute time at. Scheduling in the past
-// panics: that is always a logic bug in a discrete-event model.
-func (k *Kernel) At(at simtime.Time, fn Event) Handle {
-	if fn == nil {
-		panic("sim: nil event")
-	}
-	it := k.schedule(at)
-	it.fn = fn
-	return Handle{item: it, gen: it.gen, k: k}
-}
-
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d simtime.Duration, fn Event) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.At(k.now.Add(d), fn)
-}
-
-// AtArg schedules fn(arg) at the absolute time at. With a pointer-typed
-// arg the call performs no allocation: hot paths keep one resident
-// ArgEvent and thread the per-occurrence state through arg instead of
-// closing over it.
-func (k *Kernel) AtArg(at simtime.Time, fn ArgEvent, arg any) Handle {
-	if fn == nil {
-		panic("sim: nil event")
-	}
-	it := k.schedule(at)
-	it.afn = fn
-	it.arg = arg
-	return Handle{item: it, gen: it.gen, k: k}
-}
-
-// AfterArg schedules fn(arg) to run d after the current time.
-func (k *Kernel) AfterArg(d simtime.Duration, fn ArgEvent, arg any) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.AtArg(k.now.Add(d), fn, arg)
-}
-
-// Halt stops the run loop after the currently executing event returns.
-func (k *Kernel) Halt() { k.halted = true }
 
 // fire executes the live event at the root. Its slot stays as a vacant
 // root until the callback's first schedule fills it, or is popped when
@@ -682,9 +611,9 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// RunUntil fires events until the queue drains, the deadline passes, or
-// Halt is called. The clock is advanced to the deadline if the queue
-// drains early, so a subsequent RunUntil continues from there.
+// RunUntil fires events until the queue drains or the deadline passes.
+// The clock is advanced to the deadline if the queue drains early, so a
+// subsequent RunUntil continues from there.
 func (k *Kernel) RunUntil(deadline simtime.Time) {
 	// A group's global kernel is the run handle for the whole sharded
 	// simulation: experiments drive it exactly like a plain kernel.
@@ -692,8 +621,7 @@ func (k *Kernel) RunUntil(deadline simtime.Time) {
 		k.group.runUntil(deadline)
 		return
 	}
-	k.halted = false
-	for !k.halted {
+	for {
 		if !k.peek() || k.queue[0].at > deadline {
 			if k.now < deadline && deadline != simtime.Forever {
 				k.now = deadline
@@ -704,7 +632,7 @@ func (k *Kernel) RunUntil(deadline simtime.Time) {
 	}
 }
 
-// Run fires events until the queue drains or Halt is called.
+// Run fires events until the queue drains.
 func (k *Kernel) Run() { k.RunUntil(simtime.Forever) }
 
 // Rand returns a deterministic random stream unique to name. Two kernels
@@ -775,14 +703,12 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// Ticker invokes fn every period until cancelled. It is the building block
-// for rate timers (DCQCN increase timers, watchdog polls, monitors).
+// Ticker invokes fn every period until stopped: the watchdog polls of
+// the switch and the NIC.
 type Ticker struct {
-	k      *Kernel
 	period simtime.Duration
 	fn     Event
-	tick   Event // resident self-rescheduling callback
-	h      Handle
+	timer  Timer
 	live   bool
 }
 
@@ -791,28 +717,25 @@ func (k *Kernel) NewTicker(period simtime.Duration, fn Event) *Ticker {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")
 	}
-	t := &Ticker{k: k, period: period, fn: fn, live: true}
-	t.tick = t.doTick // bound once; rescheduling allocates nothing
-	t.h = k.After(period, t.tick)
+	t := &Ticker{period: period, fn: fn, live: true}
+	t.timer = Timer{k: k, fn: t.tick}
+	t.timer.Reset(period)
 	return t
 }
 
-func (t *Ticker) doTick() {
-	if !t.live {
-		return
-	}
+func (t *Ticker) tick() {
 	t.fn()
-	// fn may have stopped us (Stop) or already rescheduled us (Reset);
-	// rescheduling on top of a Reset would double the tick rate.
-	if t.live && !t.h.Pending() {
-		t.h = t.k.After(t.period, t.tick)
+	// fn may have stopped us (Stop) or already re-armed us (Reset);
+	// re-arming on top of a Reset would double the tick rate.
+	if t.live && !t.timer.Armed() {
+		t.timer.Reset(t.period)
 	}
 }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
 	t.live = false
-	t.h.Cancel()
+	t.timer.Stop()
 }
 
 // Reset changes the period and restarts the ticker from now.
@@ -820,8 +743,7 @@ func (t *Ticker) Reset(period simtime.Duration) {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")
 	}
-	t.h.Cancel()
 	t.period = period
 	t.live = true
-	t.h = t.k.After(period, t.tick)
+	t.timer.Reset(period)
 }

@@ -65,19 +65,20 @@ func TestSchedulingInsideEvent(t *testing.T) {
 func TestCancel(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
-	h := k.After(simtime.Microsecond, func() { fired = true })
-	if !h.Pending() {
-		t.Fatal("should be pending")
+	tm := k.NewTimer(func() { fired = true })
+	tm.Reset(simtime.Microsecond)
+	if !tm.Armed() {
+		t.Fatal("should be armed")
 	}
-	if !h.Cancel() {
-		t.Fatal("first cancel should succeed")
+	if !tm.Stop() {
+		t.Fatal("first stop should succeed")
 	}
-	if h.Cancel() {
-		t.Fatal("second cancel should be a no-op")
+	if tm.Stop() {
+		t.Fatal("second stop should be a no-op")
 	}
 	k.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
 }
 
@@ -115,21 +116,6 @@ func TestRunUntil(t *testing.T) {
 	// Clock advances to deadline even with empty queue.
 	if k.Now() != simtime.Time(20*simtime.Microsecond) {
 		t.Fatalf("clock %v", k.Now())
-	}
-}
-
-func TestHalt(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	k.After(simtime.Nanosecond, func() { fired++; k.Halt() })
-	k.After(2*simtime.Nanosecond, func() { fired++ })
-	k.Run()
-	if fired != 1 {
-		t.Fatalf("halt did not stop the loop: fired=%d", fired)
-	}
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("resume after halt: fired=%d", fired)
 	}
 }
 
@@ -317,17 +303,19 @@ func TestOrderProperty(t *testing.T) {
 
 func TestPendingCountsOnlyLiveEvents(t *testing.T) {
 	k := NewKernel(1)
-	var hs []Handle
+	var ts []*Timer
 	for i := 0; i < 10; i++ {
-		hs = append(hs, k.After(simtime.Microsecond, func() {}))
+		tm := k.NewTimer(func() {})
+		tm.Reset(simtime.Microsecond)
+		ts = append(ts, tm)
 	}
 	if k.Pending() != 10 {
 		t.Fatalf("pending = %d, want 10", k.Pending())
 	}
-	hs[0].Cancel()
-	hs[1].Cancel()
+	ts[0].Stop()
+	ts[1].Stop()
 	if k.Pending() != 8 {
-		t.Fatalf("pending after 2 cancels = %d, want 8", k.Pending())
+		t.Fatalf("pending after 2 stops = %d, want 8", k.Pending())
 	}
 	k.Run()
 	if k.Pending() != 0 {
@@ -336,15 +324,18 @@ func TestPendingCountsOnlyLiveEvents(t *testing.T) {
 }
 
 func TestCancelledEventsAreReaped(t *testing.T) {
-	// A workload that schedules and cancels timers (the retransmit-timer
-	// pattern) must not accumulate dead items in the heap.
+	// A timer armed and stopped over and over pushes a fresh item per
+	// arm and drops it per stop; the dropped items must not accumulate
+	// in the heap.
 	k := NewKernel(1)
-	keep := k.After(simtime.Second, func() {})
+	keep := k.NewTimer(func() {})
+	keep.Reset(simtime.Second)
+	tm := k.NewTimer(func() {})
 	for i := 0; i < 10000; i++ {
-		h := k.After(simtime.Millisecond, func() {})
-		h.Cancel()
+		tm.Reset(simtime.Millisecond)
+		tm.Stop()
 	}
-	if !keep.Pending() {
+	if !keep.Armed() {
 		t.Fatal("reap dropped a live event")
 	}
 	if k.Pending() != 1 {
@@ -352,7 +343,7 @@ func TestCancelledEventsAreReaped(t *testing.T) {
 	}
 	// The heap itself must have been compacted, not just the count.
 	if len(k.queue) > 2 {
-		t.Fatalf("heap holds %d items after cancelling 10000, want <=2", len(k.queue))
+		t.Fatalf("heap holds %d items after stopping 10000, want <=2", len(k.queue))
 	}
 	k.Run()
 	if k.EventsFired() != 1 {
@@ -363,15 +354,18 @@ func TestCancelledEventsAreReaped(t *testing.T) {
 func TestReapPreservesOrdering(t *testing.T) {
 	k := NewKernel(1)
 	var got []int
-	var cancels []Handle
-	// Interleave live and to-be-cancelled events at mixed times.
+	var stops []*Timer
+	// Interleave live events and timers to be stopped at mixed times.
 	for i := 0; i < 50; i++ {
 		i := i
-		k.At(simtime.Time(i+1)*simtime.Time(simtime.Microsecond), func() { got = append(got, i) })
-		cancels = append(cancels, k.At(simtime.Time(i+1)*simtime.Time(simtime.Microsecond), func() { t.Error("cancelled event fired") }))
+		at := simtime.Time(i+1) * simtime.Time(simtime.Microsecond)
+		k.At(at, func() { got = append(got, i) })
+		tm := k.NewTimer(func() { t.Error("stopped timer fired") })
+		tm.ResetAt(at)
+		stops = append(stops, tm)
 	}
-	for _, h := range cancels {
-		h.Cancel() // crosses the reap threshold repeatedly
+	for _, tm := range stops {
+		tm.Stop() // crosses the reap threshold repeatedly
 	}
 	k.Run()
 	if len(got) != 50 {
@@ -385,27 +379,28 @@ func TestReapPreservesOrdering(t *testing.T) {
 }
 
 func TestCancelFromInsideOwnEvent(t *testing.T) {
-	// An event cancelling itself while running: by then it counts as
-	// fired, so Cancel must report false and must not corrupt the
-	// cancelled-item accounting.
+	// A timer stopping itself while its callback runs: by then it counts
+	// as fired, so Stop must report false and must not corrupt the
+	// dropped-item accounting.
 	k := NewKernel(1)
-	var h Handle
+	var tm *Timer
 	ran := false
-	h = k.After(simtime.Microsecond, func() {
+	tm = k.NewTimer(func() {
 		ran = true
-		if h.Cancel() {
-			t.Error("self-cancel from inside the event reported true")
+		if tm.Stop() {
+			t.Error("self-stop from inside the callback reported true")
 		}
-		if h.Pending() {
-			t.Error("event still pending while running")
+		if tm.Armed() {
+			t.Error("timer still armed while its callback runs")
 		}
 	})
+	tm.Reset(simtime.Microsecond)
 	k.Run()
 	if !ran {
-		t.Fatal("event did not run")
+		t.Fatal("timer did not fire")
 	}
 	if k.Pending() != 0 {
-		t.Fatalf("pending = %d after self-cancel, want 0", k.Pending())
+		t.Fatalf("pending = %d after self-stop, want 0", k.Pending())
 	}
 	// Accounting must survive further scheduling.
 	k.After(simtime.Microsecond, func() {})
@@ -460,7 +455,7 @@ func TestKernelTelemetryWired(t *testing.T) {
 	}
 }
 
-// TestReapInsideCallbackBeforeSchedule: a callback whose cancels cross
+// TestReapInsideCallbackBeforeSchedule: a callback whose stops cross
 // the reap threshold before it schedules anything reaps while its own
 // slot is still queued, waiting for its first schedule. Every survivor
 // must fire once, in order, and every item handed out afterwards must
@@ -470,29 +465,32 @@ func TestReapInsideCallbackBeforeSchedule(t *testing.T) {
 	const n = 40
 	k := NewKernel(1)
 	var got []int
-	handles := make([]Handle, n)
+	timers := make([]*Timer, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles[i] = k.At(simtime.Time(10+i), func() { got = append(got, i) })
+		timers[i] = k.NewTimer(func() { got = append(got, i) })
+		timers[i].ResetAt(simtime.Time(10 + i))
 	}
 	k.At(1, func() {
-		// 21 of the 40 queued events cancelled: the 21st crosses
+		// 21 of the 40 queued timers stopped: the 21st crosses
 		// cancelled > queued/2 and reaps.
 		for i := 0; i < n; i += 2 {
-			handles[i].Cancel()
+			timers[i].Stop()
 		}
-		handles[1].Cancel()
+		timers[1].Stop()
 		if len(k.queue) != n-21 || k.Pending() != n-21 {
 			t.Fatalf("after the reap: %d slots, Pending() = %d, want %d and %d", len(k.queue), k.Pending(), n-21, n-21)
 		}
-		seen := make(map[*item]bool)
 		for j := 0; j < 2*n; j++ {
 			j := j
-			h := k.At(simtime.Time(100+j), func() { got = append(got, 1000+j) })
-			if seen[h.item] {
-				t.Fatalf("schedule %d after the reap reused an item already queued", j)
+			k.At(simtime.Time(100+j), func() { got = append(got, 1000+j) })
+		}
+		seen := make(map[*item]bool)
+		for _, e := range k.queue {
+			if seen[e.it] {
+				t.Fatal("a schedule after the reap reused an item already queued")
 			}
-			seen[h.item] = true
+			seen[e.it] = true
 		}
 	})
 	k.Run()

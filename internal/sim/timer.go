@@ -6,21 +6,23 @@ import (
 	"rocesim/internal/simtime"
 )
 
-// Timer is a re-armable one-shot event: the retransmit, pause-retry and
-// transmit-kick timers that are pushed back on nearly every frame. A
-// reset to a later deadline costs no heap operation.
+// Timer is a re-armable one-shot event, and the kernel's only event that
+// can be called off: the retransmit, pause-retry and transmit-kick timers
+// that are pushed back on nearly every frame, the PFC XOFF refresh, the
+// Pingmesh probe timeout, the TCP RTO and Ticker. A reset to a later
+// deadline costs no heap operation.
 //
-// Each ResetAt reserves the ordering key (now, seq) that a Cancel of the
-// previous event plus a fresh At would have stamped, consuming one seq
-// exactly as At does, so every other event keeps its key. The timer keeps
-// at most one live item in the queue, keyed at or before the reserved
-// key: a reset to a later deadline only records the new key, and when the
-// item reaches the top of the heap under an older key, peek re-keys it in
-// place and sifts it down. A reset to an earlier deadline drops the item
-// like a Cancel (it is deleted lazily and never fires) and pushes a fresh
-// one. The timer therefore fires exactly where the eager Cancel+At would
-// have fired it, and fires nothing else; only the number of heap
-// operations changes.
+// Each ResetAt reserves the ordering key (now, seq) that dropping the
+// previous event and scheduling a fresh one with At would have stamped,
+// consuming one seq exactly as At does, so every other event keeps its
+// key. The timer keeps at most one live item in the queue, keyed at or
+// before the reserved key: a reset to a later deadline only records the
+// new key, and when the item reaches the top of the heap under an older
+// key, peek re-keys it in place and sifts it down. A reset to an earlier
+// deadline drops the item (it is deleted lazily and never fires) and
+// pushes a fresh one, and Stop drops it. The timer therefore fires
+// exactly where that drop plus At would have fired it, and fires nothing
+// else; only the number of heap operations changes.
 type Timer struct {
 	k       *Kernel
 	fn      Event
@@ -33,7 +35,7 @@ type Timer struct {
 
 // timerMark is how a queued item names its timer: the item's arg holds
 // the *Timer under this unexported type, so no event scheduled with
-// AtArg can be mistaken for a timer.
+// ScheduleOnLane can be mistaken for a timer.
 type timerMark Timer
 
 // fireTimer is the ArgEvent of every timer item. The timer is disarmed
@@ -54,12 +56,7 @@ func (k *Kernel) NewTimer(fn Event) *Timer {
 
 // Reset arms the timer to fire d from now, replacing the deadline it had,
 // if any.
-func (t *Timer) Reset(d simtime.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	t.ResetAt(t.k.now.Add(d))
-}
+func (t *Timer) Reset(d simtime.Duration) { t.ResetAt(t.k.after(d)) }
 
 // ResetAt arms the timer to fire at the absolute time at, replacing the
 // deadline it had, if any. It orders among same-instant events exactly

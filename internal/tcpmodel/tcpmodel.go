@@ -119,7 +119,7 @@ type Conn struct {
 	sndUna, sndNxt, appEnd int64
 	cwnd, ssthresh         float64
 	dupAcks                int
-	rtoTimer               sim.Handle
+	rto                    *sim.Timer
 	rtoBackoff             int
 	msgs                   []*message
 
@@ -189,6 +189,8 @@ func (s *Stack) Dial(dst *Stack, srcPort, dstPort uint16, gwSrc, gwDst packet.MA
 	}
 	snd.peer = rcv
 	rcv.peer = snd
+	snd.rto = s.k.NewTimer(snd.onRTO)
+	rcv.rto = s.k.NewTimer(rcv.onRTO)
 	// Both stacks index by the data-direction flow: data segments and
 	// their ACKs carry it alike.
 	s.conns[fk] = snd
@@ -336,8 +338,8 @@ func (c *Conn) handleAck(sg *seg) {
 		if c.cwnd > c.cfg.MaxCwndPkt {
 			c.cwnd = c.cfg.MaxCwndPkt
 		}
-		if c.sndUna == c.sndNxt && c.rtoTimer.Pending() {
-			c.rtoTimer.Cancel()
+		if c.sndUna == c.sndNxt {
+			c.rto.Stop()
 		} else if c.sndUna < c.sndNxt {
 			c.armRTO()
 		}
@@ -359,11 +361,7 @@ func (c *Conn) handleAck(sg *seg) {
 
 // armRTO (re)arms the retransmission timer.
 func (c *Conn) armRTO() {
-	if c.rtoTimer.Pending() {
-		c.rtoTimer.Cancel()
-	}
-	rto := c.cfg.RTOMin << uint(c.rtoBackoff)
-	c.rtoTimer = c.k.After(rto, c.onRTO)
+	c.rto.Reset(c.cfg.RTOMin << uint(c.rtoBackoff))
 }
 
 func (c *Conn) onRTO() {

@@ -3,6 +3,7 @@ package tenant
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 
@@ -277,7 +278,9 @@ func runCellK(name string, seed int64, shards int, gpu, storage, misconfig bool)
 	if shards < 1 {
 		shards = 1
 	}
-	k := sim.NewRoot(seed^int64(fnv64(name)), shards)
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	k := sim.NewRoot(seed^int64(h.Sum64()), shards)
 	aud := invariant.Attach(k, invariant.Options{})
 	plan := DefaultPlan()
 
@@ -451,16 +454,3 @@ func runCellK(name string, seed int64, shards int, gpu, storage, misconfig bool)
 }
 
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
-
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}

@@ -68,7 +68,7 @@ func TestIRNRetxTimeoutSelection(t *testing.T) {
 
 	set := func(flight uint32) {
 		a.sndUna = 100
-		a.sndNxt = psnAdd(100, flight)
+		a.sndNxt = irn.Add(100, flight)
 	}
 	set(0)
 	if got := a.strat.retxTimeout(a); got != ic.RTOLow {
@@ -85,7 +85,7 @@ func TestIRNRetxTimeoutSelection(t *testing.T) {
 
 	// RTOHigh unset: fall back to the QP-wide timer above threshold.
 	b, _ := newIRNPairRTO(k, irn.Config{RTOLow: 10 * simtime.Microsecond})
-	b.sndUna, b.sndNxt = 100, psnAdd(100, 10)
+	b.sndUna, b.sndNxt = 100, irn.Add(100, 10)
 	if got := b.strat.retxTimeout(b); got != b.cfg.RetxTimeout {
 		t.Fatalf("RTOHigh unset: retxTimeout = %v, want QP default %v", got, b.cfg.RetxTimeout)
 	}

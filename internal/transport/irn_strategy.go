@@ -53,10 +53,10 @@ func (s *irnStrategy) hasData(q *QP) bool {
 	if s.rtx.Len() > 0 {
 		return true
 	}
-	if psnDiff(q.sndNxt, q.nextPSN) >= 0 {
+	if irn.Diff(q.sndNxt, q.nextPSN) >= 0 {
 		return false // everything assigned has been transmitted
 	}
-	return psnDiff(q.sndNxt, q.sndUna) < int32(s.maxOut)
+	return irn.Diff(q.sndNxt, q.sndUna) < int32(s.maxOut)
 }
 
 func (s *irnStrategy) popRequest(q *QP, now simtime.Time) *packet.Packet {
@@ -67,7 +67,7 @@ func (s *irnStrategy) popRequest(q *QP, now simtime.Time) *packet.Packet {
 		if !ok {
 			break
 		}
-		if psnDiff(psn, q.sndUna) < 0 {
+		if irn.Diff(psn, q.sndUna) < 0 {
 			s.rtx.Pop() // cumulative point moved past it meanwhile
 			continue
 		}
@@ -84,8 +84,8 @@ func (s *irnStrategy) popRequest(q *QP, now simtime.Time) *packet.Packet {
 		return q.emitRequest(o, psn, now, false)
 	}
 	// New data, BDP-bounded.
-	if psnDiff(q.sndNxt, q.nextPSN) >= 0 ||
-		psnDiff(q.sndNxt, q.sndUna) >= int32(s.maxOut) {
+	if irn.Diff(q.sndNxt, q.nextPSN) >= 0 ||
+		irn.Diff(q.sndNxt, q.sndUna) >= int32(s.maxOut) {
 		return nil
 	}
 	o := q.opForPSN(q.sndNxt)
@@ -106,7 +106,7 @@ func (s *irnStrategy) popRequest(q *QP, now simtime.Time) *packet.Packet {
 // handful); with a fuller pipe the conservative RTOHigh guards against
 // retransmission storms.
 func (s *irnStrategy) retxTimeout(q *QP) simtime.Duration {
-	flight := psnDiff(q.sndNxt, q.sndUna)
+	flight := irn.Diff(q.sndNxt, q.sndUna)
 	th := s.cfg.LowFlightThresh
 	if th == 0 {
 		th = irn.DefaultLowFlightThresh
@@ -128,7 +128,7 @@ func (s *irnStrategy) onTimeout(q *QP) {
 	// Backstop: queue everything in flight that the responder has not
 	// SACKed. Spurious entries are cheap — the responder re-ACKs
 	// duplicates and the queue prunes anything behind sndUna.
-	for psn := q.sndUna; psnDiff(psn, q.sndNxt) < 0; psn = psnAdd(psn, 1) {
+	for psn := q.sndUna; irn.Diff(psn, q.sndNxt) < 0; psn = irn.Add(psn, 1) {
 		if s.sacked.Has(psn) {
 			continue
 		}
@@ -137,7 +137,7 @@ func (s *irnStrategy) onTimeout(q *QP) {
 }
 
 func (s *irnStrategy) onNak(q *QP, p *packet.Packet) {
-	if psnDiff(p.BTH.PSN, q.sndUna) < 0 &&
+	if irn.Diff(p.BTH.PSN, q.sndUna) < 0 &&
 		(len(q.ops) == 0 || q.ops[0].kind != OpRead) {
 		return // stale: an episode already recovered past (see cumulative.onNak)
 	}
@@ -150,7 +150,7 @@ func (s *irnStrategy) onNak(q *QP, p *packet.Packet) {
 	}
 	cum := p.BTH.PSN
 	// The cumulative point in the NAK acknowledges everything before it.
-	if psnDiff(cum, q.sndUna) > 0 {
+	if irn.Diff(cum, q.sndUna) > 0 {
 		from := q.sndUna
 		q.sndUna = cum
 		if q.aud != nil {
@@ -165,12 +165,12 @@ func (s *irnStrategy) onNak(q *QP, p *packet.Packet) {
 	}
 	for i := uint32(1); i < 64; i++ {
 		if bm>>i&1 == 1 {
-			s.sacked.Add(psnAdd(cum, i))
+			s.sacked.Add(irn.Add(cum, i))
 		}
 	}
 	queued := false
 	for _, psn := range irn.Lost(cum, bm) {
-		if psnDiff(psn, q.sndNxt) >= 0 {
+		if irn.Diff(psn, q.sndNxt) >= 0 {
 			break // not transmitted yet: nothing to repair
 		}
 		if s.sacked.Has(psn) {

@@ -57,7 +57,7 @@ type Strategy interface {
 	// point; p.SACK, when present, the out-of-order bitmap).
 	onNak(q *QP, p *packet.Packet)
 	// onGap is the responder's out-of-sequence arrival handler
-	// (psnDiff(p.BTH.PSN, q.ePSN) > 0).
+	// (irn.Diff(p.BTH.PSN, q.ePSN) > 0).
 	onGap(q *QP, p *packet.Packet)
 	// onReadGap recovers a hole in the READ response stream.
 	onReadGap(q *QP, missing uint32)
@@ -143,10 +143,10 @@ func (c *cumulative) hasData(q *QP) bool {
 	if len(q.ops) == 0 {
 		return false
 	}
-	if psnDiff(q.sndNxt, q.nextPSN) >= 0 {
+	if irn.Diff(q.sndNxt, q.nextPSN) >= 0 {
 		return false // everything assigned has been transmitted
 	}
-	return psnDiff(q.sndNxt, q.sndUna) < int32(q.cfg.Window)
+	return irn.Diff(q.sndNxt, q.sndUna) < int32(q.cfg.Window)
 }
 
 func (c *cumulative) popRequest(q *QP, now simtime.Time) *packet.Packet {
@@ -187,23 +187,23 @@ func (c *cumulative) recover(q *QP, missing uint32, fromNak bool) {
 		// diff negative — which, unclamped, underflows the uint64
 		// counters by ~2^64.
 		start := missing
-		if n := psnDiff(q.sndNxt, start); n > 0 {
+		if n := irn.Diff(q.sndNxt, start); n > 0 {
 			q.S.PacketsRetx += uint64(n)
 			q.cfg.Metrics.PacketsRetx.Add(uint64(n))
 		}
 		o.firstPSN = start
 		q.sndNxt = start
 		q.sndUna = start
-		q.reflow(1, psnAdd(start, o.npkts))
+		q.reflow(1, irn.Add(start, o.npkts))
 		return
 	}
 	// Go-back-N: resume the same mapping from the missing PSN.
 	// missing can never be behind sndUna here — timeouts pass sndUna
 	// itself and the NAK path discards anything stale — so the
 	// cumulative ack point never rewinds.
-	if psnDiff(missing, q.sndNxt) < 0 {
-		q.S.PacketsRetx += uint64(psnDiff(q.sndNxt, missing))
-		q.cfg.Metrics.PacketsRetx.Add(uint64(psnDiff(q.sndNxt, missing)))
+	if irn.Diff(missing, q.sndNxt) < 0 {
+		q.S.PacketsRetx += uint64(irn.Diff(q.sndNxt, missing))
+		q.cfg.Metrics.PacketsRetx.Add(uint64(irn.Diff(q.sndNxt, missing)))
 		q.sndNxt = missing
 	}
 }
@@ -223,7 +223,7 @@ func (c *cumulative) onNak(q *QP, p *packet.Packet) {
 	// READs are exempt: their recovery repositions sndUna on a
 	// guessed fresh range, and a NAK behind it is the responder
 	// steering the re-issued request to where it actually is.
-	if psnDiff(p.BTH.PSN, q.sndUna) < 0 &&
+	if irn.Diff(p.BTH.PSN, q.sndUna) < 0 &&
 		(len(q.ops) == 0 || q.ops[0].kind != OpRead) {
 		return
 	}

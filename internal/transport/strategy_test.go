@@ -28,8 +28,8 @@ func TestPSNAddTable(t *testing.T) {
 		{"zero-from-top", M, M + 1, M},
 	}
 	for _, c := range cases {
-		if got := psnAdd(c.p, c.n); got != c.want {
-			t.Errorf("%s: psnAdd(%d,%d)=%d want %d", c.name, c.p, c.n, got, c.want)
+		if got := irn.Add(c.p, c.n); got != c.want {
+			t.Errorf("%s: irn.Add(%d,%d)=%d want %d", c.name, c.p, c.n, got, c.want)
 		}
 	}
 }
@@ -54,8 +54,8 @@ func TestPSNDiffTable(t *testing.T) {
 		{"across-wrap-window", 3, M - 2, 6},
 	}
 	for _, c := range cases {
-		if got := psnDiff(c.a, c.b); got != c.want {
-			t.Errorf("%s: psnDiff(%d,%d)=%d want %d", c.name, c.a, c.b, got, c.want)
+		if got := irn.Diff(c.a, c.b); got != c.want {
+			t.Errorf("%s: irn.Diff(%d,%d)=%d want %d", c.name, c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -206,7 +206,7 @@ func TestIRNLossEpisodeSpansPSNWrap(t *testing.T) {
 	if b.S.BytesDelivered != 12*1024 {
 		t.Fatalf("delivered %d", b.S.BytesDelivered)
 	}
-	if want := psnAdd(start, 12); a.sndUna != want {
+	if want := irn.Add(start, 12); a.sndUna != want {
 		t.Fatalf("sndUna=%d want %d", a.sndUna, want)
 	}
 	if a.S.PacketsRetx > 4 {

@@ -343,18 +343,6 @@ func (q *QP) SetAuditor(a Auditor) { q.aud = a }
 // Rate returns the current DCQCN rate, or 0 when rate control is off.
 func (q *QP) Rate() simtime.Rate { return q.pacer.CurrentRate(q.ep.Now()) }
 
-// psnAdd advances a PSN in the 24-bit space.
-func psnAdd(p, n uint32) uint32 { return (p + n) & packet.PSNMask }
-
-// psnDiff returns the serial difference a-b in the 24-bit space.
-func psnDiff(a, b uint32) int32 {
-	d := int32((a - b) & packet.PSNMask)
-	if d > 1<<23 {
-		d -= 1 << 24
-	}
-	return d
-}
-
 // Post queues a work request. onDone (optional) fires when the op
 // completes at the requester (last PSN acknowledged, or last READ
 // response received).
@@ -372,7 +360,7 @@ func (q *QP) Post(kind OpKind, length int, onDone func(posted, completed simtime
 		onDone:   onDone,
 		readNext: q.nextPSN,
 	}
-	q.nextPSN = psnAdd(q.nextPSN, n)
+	q.nextPSN = irn.Add(q.nextPSN, n)
 	q.ops = append(q.ops, o)
 	if q.aud != nil {
 		q.aud.WQEPosted(q)
@@ -386,7 +374,7 @@ func (q *QP) Pending() int { return len(q.ops) }
 // opForPSN locates the op covering a PSN.
 func (q *QP) opForPSN(psn uint32) *op {
 	for _, o := range q.ops {
-		if psnDiff(psn, o.firstPSN) >= 0 && psnDiff(psn, psnAdd(o.firstPSN, o.npkts)) < 0 {
+		if irn.Diff(psn, o.firstPSN) >= 0 && irn.Diff(psn, irn.Add(o.firstPSN, o.npkts)) < 0 {
 			return o
 		}
 	}
@@ -438,7 +426,7 @@ func (q *QP) Pop(now simtime.Time) *packet.Packet {
 // emitted range (the new-data path); selective retransmissions leave
 // sndNxt alone.
 func (q *QP) emitRequest(o *op, psn uint32, now simtime.Time, advance bool) *packet.Packet {
-	idx := uint32(psnDiff(psn, o.firstPSN))
+	idx := uint32(irn.Diff(psn, o.firstPSN))
 	p := q.newDataPacket()
 	bth := p.BTH
 	bth.PSN = psn
@@ -458,7 +446,7 @@ func (q *QP) emitRequest(o *op, psn uint32, now simtime.Time, advance bool) *pac
 		p.AttachRETH().DMALen = uint32(o.length - o.readDone)
 		p.PayloadLen = 0
 		if advance {
-			q.sndNxt = psnAdd(o.firstPSN, o.npkts)
+			q.sndNxt = irn.Add(o.firstPSN, o.npkts)
 		}
 	default:
 		last := idx == o.npkts-1
@@ -489,7 +477,7 @@ func (q *QP) emitRequest(o *op, psn uint32, now simtime.Time, advance bool) *pac
 			bth.Opcode = packet.OpWriteMiddle
 		}
 		if advance {
-			q.sndNxt = psnAdd(psn, 1)
+			q.sndNxt = irn.Add(psn, 1)
 		}
 	}
 
@@ -523,7 +511,7 @@ func (q *QP) mtuWireLen() int {
 // popReadResponse emits the next responder-side READ response packet.
 func (q *QP) popReadResponse(now simtime.Time) *packet.Packet {
 	rs := q.reads[0]
-	n := uint32(psnDiff(rs.endPSN, rs.nextPSN))
+	n := uint32(irn.Diff(rs.endPSN, rs.nextPSN))
 	p := q.newDataPacket()
 	p.BTH.PSN = rs.nextPSN
 	first := rs.nextPSN == rs.first
@@ -542,7 +530,7 @@ func (q *QP) popReadResponse(now simtime.Time) *packet.Packet {
 		p.BTH.Opcode = packet.OpReadResponseMiddle
 	}
 	p.PayloadLen = q.cfg.MTU
-	rs.nextPSN = psnAdd(rs.nextPSN, 1)
+	rs.nextPSN = irn.Add(rs.nextPSN, 1)
 	if rs.nextPSN == rs.endPSN {
 		q.reads = q.reads[1:]
 	}
@@ -636,7 +624,7 @@ func (q *QP) reflow(from int, psn uint32) {
 		if o.kind == OpRead {
 			o.readNext = psn
 		}
-		psn = psnAdd(psn, o.npkts)
+		psn = irn.Add(psn, o.npkts)
 	}
 	q.nextPSN = psn
 }
@@ -650,7 +638,7 @@ func (q *QP) reflow(from int, psn uint32) {
 // per-packet feedback channel for selective repeat.
 func (q *QP) recoverRead(missing uint32, fromNak, zero bool) {
 	o := q.ops[0]
-	start := psnAdd(o.firstPSN, o.npkts)
+	start := irn.Add(o.firstPSN, o.npkts)
 	if fromNak {
 		start = missing
 	}
@@ -665,7 +653,7 @@ func (q *QP) recoverRead(missing uint32, fromNak, zero bool) {
 	q.sndUna = start
 	q.S.PacketsRetx++
 	q.cfg.Metrics.PacketsRetx.Inc()
-	q.reflow(1, psnAdd(start, o.npkts))
+	q.reflow(1, irn.Add(start, o.npkts))
 	q.strat.resetRequester(q)
 }
 
@@ -718,7 +706,7 @@ func (q *QP) maybeCNP(p *packet.Packet) {
 func (q *QP) handleRequest(p *packet.Packet) {
 	q.maybeCNP(p)
 	bth := p.BTH
-	d := psnDiff(bth.PSN, q.ePSN)
+	d := irn.Diff(bth.PSN, q.ePSN)
 	switch {
 	case d > 0:
 		q.strat.onGap(q, p)
@@ -727,7 +715,7 @@ func (q *QP) handleRequest(p *packet.Packet) {
 		// Duplicate (resent after a lost ACK): re-acknowledge.
 		ack := q.newCtl(packet.OpAcknowledge)
 		*ack.AttachAETH() = packet.AETH{Syndrome: packet.AETHAck, MSN: q.rMSN}
-		ack.BTH.PSN = psnAdd(q.ePSN, ^uint32(0)&packet.PSNMask) // ePSN-1
+		ack.BTH.PSN = irn.Add(q.ePSN, ^uint32(0)&packet.PSNMask) // ePSN-1
 		q.ctl = append(q.ctl, ack)
 		q.S.AcksSent++
 		q.cfg.Metrics.AcksSent.Inc()
@@ -756,14 +744,14 @@ func (q *QP) acceptInOrder(opcode packet.Opcode, psn uint32, payloadLen int, ack
 		q.reads = append(q.reads, &readServer{
 			first:   psn,
 			nextPSN: psn,
-			endPSN:  psnAdd(psn, uint32(n)),
+			endPSN:  irn.Add(psn, uint32(n)),
 		})
-		q.ePSN = psnAdd(psn, uint32(n))
+		q.ePSN = irn.Add(psn, uint32(n))
 		q.rMSN = (q.rMSN + 1) & packet.PSNMask
 		return
 	}
 
-	q.ePSN = psnAdd(q.ePSN, 1)
+	q.ePSN = irn.Add(q.ePSN, 1)
 	if opcode.IsFirst() || opcode == packet.OpSendOnly || opcode == packet.OpWriteOnly {
 		q.curMsg = 0 // a restarted message (go-back-0) discards partial state
 		q.curKind = OpWrite
@@ -804,8 +792,8 @@ func (q *QP) handleAck(p *packet.Packet) {
 		q.strat.onNak(q, p)
 		return
 	}
-	acked := psnAdd(p.BTH.PSN, 1)
-	if psnDiff(acked, q.sndUna) <= 0 {
+	acked := irn.Add(p.BTH.PSN, 1)
+	if irn.Diff(acked, q.sndUna) <= 0 {
 		return // stale
 	}
 	from := q.sndUna
@@ -830,9 +818,9 @@ func (q *QP) handleReadResponse(p *packet.Packet) {
 	if o.kind != OpRead {
 		return
 	}
-	d := psnDiff(p.BTH.PSN, o.readNext)
+	d := irn.Diff(p.BTH.PSN, o.readNext)
 	if d != 0 {
-		if d > 0 && psnDiff(p.BTH.PSN, psnAdd(o.firstPSN, o.npkts)) < 0 {
+		if d > 0 && irn.Diff(p.BTH.PSN, irn.Add(o.firstPSN, o.npkts)) < 0 {
 			// Gap within the current response stream: re-issue the
 			// request for what is missing.
 			q.traceRetx("read-gap")
@@ -842,10 +830,10 @@ func (q *QP) handleReadResponse(p *packet.Packet) {
 		}
 		return
 	}
-	o.readNext = psnAdd(o.readNext, 1)
+	o.readNext = irn.Add(o.readNext, 1)
 	o.readDone += p.PayloadLen
 	q.S.BytesDelivered += uint64(p.PayloadLen)
-	end := psnAdd(o.firstPSN, o.npkts)
+	end := irn.Add(o.firstPSN, o.npkts)
 	if o.readNext == end {
 		from := q.sndUna
 		q.sndUna = end
@@ -869,8 +857,8 @@ func (q *QP) completeOps() {
 		if o.kind == OpRead && o.readDone < o.length {
 			break // reads complete only via their response stream
 		}
-		end := psnAdd(o.firstPSN, o.npkts)
-		if psnDiff(q.sndUna, end) < 0 {
+		end := irn.Add(o.firstPSN, o.npkts)
+		if irn.Diff(q.sndUna, end) < 0 {
 			break
 		}
 		q.ops = q.ops[1:]

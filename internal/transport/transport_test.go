@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"rocesim/internal/dcqcn"
+	"rocesim/internal/irn"
 	"rocesim/internal/packet"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
@@ -69,16 +70,16 @@ func shuttle(k *sim.Kernel, a, b *QP, drop func(*packet.Packet) bool) {
 }
 
 func TestPSNArithmetic(t *testing.T) {
-	if psnAdd(packet.PSNMask, 1) != 0 {
+	if irn.Add(packet.PSNMask, 1) != 0 {
 		t.Fatal("wrap")
 	}
-	if psnDiff(0, packet.PSNMask) != 1 {
+	if irn.Diff(0, packet.PSNMask) != 1 {
 		t.Fatal("wrapped diff")
 	}
-	if psnDiff(packet.PSNMask, 0) != -1 {
+	if irn.Diff(packet.PSNMask, 0) != -1 {
 		t.Fatal("reverse wrapped diff")
 	}
-	if psnDiff(100, 50) != 50 {
+	if irn.Diff(100, 50) != 50 {
 		t.Fatal("plain diff")
 	}
 }
@@ -87,7 +88,7 @@ func TestPSNDiffAntisymmetric(t *testing.T) {
 	f := func(a, b uint32) bool {
 		a &= packet.PSNMask
 		b &= packet.PSNMask
-		d1, d2 := psnDiff(a, b), psnDiff(b, a)
+		d1, d2 := irn.Diff(a, b), irn.Diff(b, a)
 		if d1 == -(1<<23) || d2 == -(1<<23) {
 			return true // the ambiguous midpoint maps to itself
 		}
@@ -451,7 +452,7 @@ func TestPSNDoubleWrapRetransmit(t *testing.T) {
 	// episodes (both sides jumped consistently to just short of the
 	// boundary) stands in for the ~16M in-order packets of one full
 	// revolution. Recovery must re-walk only the lost tail — a signed
-	// psnDiff misclassification at the boundary would either stall the
+	// irn.Diff misclassification at the boundary would either stall the
 	// flow or account a ~2^24-packet retransmit.
 	k := sim.NewKernel(12)
 	a, b, _, _ := newPairRec(k, GoBackN)
@@ -475,7 +476,7 @@ func TestPSNDoubleWrapRetransmit(t *testing.T) {
 		if !done {
 			t.Fatalf("wrap episode %d: recovery across the boundary failed", wrap)
 		}
-		if want := psnAdd(start, 10); a.sndUna != want {
+		if want := irn.Add(start, 10); a.sndUna != want {
 			t.Fatalf("wrap episode %d: sndUna=%d, want %d", wrap, a.sndUna, want)
 		}
 	}
