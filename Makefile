@@ -103,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistry$$' -fuzztime 15s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime 15s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzPSNArithmetic$$' -fuzztime 15s ./internal/irn
+	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime 15s ./internal/link
 
 # Runtime invariant audit alone: the gate run of every scenario that
 # takes an observer (livelock, deadlock, storm, incident) with the

@@ -7,6 +7,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -142,7 +143,12 @@ type MMU struct {
 	// paused has bit port<<3|pg set while that bucket is in the paused
 	// (XOFF-sent) state, so Reevaluate visits paused buckets in
 	// ascending (port, PG) order without sorting.
-	paused        []uint64
+	paused []uint64
+	// floor[pg] is at most the shared bytes of every paused bucket of pg
+	// that holds no headroom: the buckets Reevaluate could resume. While
+	// each PG's XON level stays below its floor, a sweep would resume
+	// nothing, and Reevaluate skips it.
+	floor         [8]int
 	sharedUsed    int     // sum of the buckets' shared bytes
 	reservedBytes int     // sum of the buckets' reservations
 	resumed       []PGRef // Reevaluate's result, reused across calls
@@ -169,7 +175,26 @@ func New(cfg Config) (*MMU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &MMU{cfg: cfg}, nil
+	m := &MMU{cfg: cfg}
+	m.resetFloors()
+	return m, nil
+}
+
+// resetFloors sets every PG's floor as if no bucket were paused.
+func (m *MMU) resetFloors() {
+	for pg := range m.floor {
+		m.floor[pg] = math.MaxInt
+	}
+}
+
+// lowerFloor keeps bucket i inside its PG's floor after its usage or
+// pause state changed. The PG's class does not matter: a bucket paused
+// while lossless keeps its bit after SetLossless demotes the PG, and can
+// resume once the PG is lossless again.
+func (m *MMU) lowerFloor(i int) {
+	if b := &m.buckets[i]; b.headroom == 0 && b.shared < m.floor[i&7] && m.isPaused(i) {
+		m.floor[i&7] = b.shared
+	}
 }
 
 // Config returns the MMU's configuration.
@@ -318,7 +343,9 @@ func (m *MMU) Release(port, pg, bytes int) Transition {
 		b.shared -= bytes
 		m.sharedUsed -= bytes
 	}
-	return m.updatePause(i, m.threshold(pg))
+	tr := m.updatePause(i, m.threshold(pg))
+	m.lowerFloor(i)
+	return tr
 }
 
 // updatePause recomputes the pause state of bucket i and returns the
@@ -338,6 +365,7 @@ func (m *MMU) updatePause(i, thr int) Transition {
 	switch paused := m.isPaused(i); {
 	case over && !paused:
 		m.paused[i>>6] |= bit
+		m.lowerFloor(i)
 		return XOFF
 	case under && paused:
 		m.paused[i>>6] &^= bit
@@ -354,9 +382,10 @@ func (m *MMU) updatePause(i, thr int) Transition {
 // the table and marks no bucket beyond it); the shared total equals the
 // sum of the per-bucket counters; headroom is only ever charged to
 // lossless buckets that have claimed a reservation and never beyond it;
-// pause state exists only for lossless buckets; and the reservation
-// ledger matches the claimed buckets. Deliberately NOT checked:
-// sharedUsed <= sharedPool — a later headroom claim can shrink the pool
+// pause state exists only for lossless buckets; the reservation ledger
+// matches the claimed buckets; and no paused bucket without headroom
+// sits below its PG's floor, where Reevaluate would miss its resume.
+// Deliberately NOT checked: sharedUsed <= sharedPool — a later headroom claim can shrink the pool
 // below existing usage, which is legal and self-corrects as packets
 // drain.
 func (m *MMU) CheckConservation() error {
@@ -393,6 +422,9 @@ func (m *MMU) CheckConservation() error {
 		if m.isPaused(i) && !m.cfg.LosslessPGs[pg] {
 			return fmt.Errorf("buffer: lossy PG (%d,%d) in paused state", port, pg)
 		}
+		if m.isPaused(i) && b.headroom == 0 && b.shared < m.floor[pg] {
+			return fmt.Errorf("buffer: paused (%d,%d) holds %d shared bytes, below its PG's floor %d", port, pg, b.shared, m.floor[pg])
+		}
 	}
 	if sum != m.sharedUsed {
 		return fmt.Errorf("buffer: sum(shared)=%d but sharedUsed=%d", sum, m.sharedUsed)
@@ -415,8 +447,17 @@ func (m *MMU) CheckConservation() error {
 // an event-driven model must recheck when the unallocated pool grows
 // because of releases elsewhere. The returned slice is only valid until
 // the next call.
+//
+// A bucket resumes only when it holds no headroom and its shared bytes
+// are at most its PG's XON level, so while every PG's XON level is below
+// its floor the sweep is skipped. A sweep visits every paused bucket and
+// recomputes the floors from those it leaves paused.
 func (m *MMU) Reevaluate() []PGRef {
 	m.resumed = m.resumed[:0]
+	if !m.mayResume() {
+		return m.resumed
+	}
+	m.resetFloors()
 	// Per-PG thresholds are fixed for the whole sweep (updatePause never
 	// touches pool usage), so each is computed once, on first need.
 	var thr [8]int
@@ -431,10 +472,23 @@ func (m *MMU) Reevaluate() []PGRef {
 			}
 			if m.updatePause(i, thr[pg]) == XON {
 				m.resumed = append(m.resumed, PGRef{Port: i >> 3, PG: pg})
+			} else {
+				m.lowerFloor(i)
 			}
 		}
 	}
 	return m.resumed
+}
+
+// mayResume reports whether some PG's XON level reaches its floor, so
+// that a sweep could resume one of its buckets.
+func (m *MMU) mayResume() bool {
+	for pg, f := range m.floor {
+		if f != math.MaxInt && max(m.threshold(pg)-m.cfg.XOFFDelta, 0) >= f {
+			return true
+		}
+	}
+	return false
 }
 
 // PGRef names an ingress accounting bucket in Reevaluate results.

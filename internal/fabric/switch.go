@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rocesim/internal/buffer"
@@ -278,11 +279,10 @@ type Switch struct {
 	macIdx map[uint64]int32 // MAC key → index of its entry in macTab
 	macTab []macEntry
 
-	// fwd is the forwarding-pipeline ring: frames in flight between
-	// ingress and egress enqueue, drained FIFO by the resident fwdEv.
-	fwd     []fwdEntry
-	fwdHead int
-	fwdEv   sim.Event
+	// fwd is the forwarding pipeline: frames in flight between ingress
+	// and egress enqueue, drained FIFO by the resident fwdEv.
+	fwd   link.Ring[fwdEntry]
+	fwdEv sim.Event
 
 	// DropFn, when set, silently discards matching data packets at
 	// ingress — the hook the livelock experiment uses ("drop any packet
@@ -300,7 +300,8 @@ var _ link.Endpoint = (*Switch)(nil)
 
 // NewSwitch builds a switch; mac must be unique in the fabric.
 func NewSwitch(k *sim.Kernel, cfg Config, mac packet.MAC) (*Switch, error) {
-	if cfg.Ports <= 0 {
+	if cfg.Ports <= 0 || cfg.Ports > math.MaxInt16 {
+		// A queued frame records its ingress port in an int16.
 		return nil, fmt.Errorf("fabric: %q has %d ports", cfg.Name, cfg.Ports)
 	}
 	if cfg.ForwardingLatency < 0 {
@@ -748,12 +749,11 @@ func (s *Switch) finishForward(in, out int, p *packet.Packet, wire, pri int, nex
 		}
 	}
 	s.maybeMarkECN(out, p, pri)
-	it := link.Item{P: p, Pri: pri, IngressPort: int32(in), Len: int32(wire), PG: pri}
+	it := link.Item{P: p, Len: int32(wire), IngressPort: int16(in), Pri: int8(pri)}
 	if s.cfg.ForwardingLatency > 0 {
 		// Constant latency means pipeline events fire in FIFO order, so a
-		// head-indexed ring plus one resident callback replaces a closure
-		// per packet.
-		s.fwd = append(s.fwd, fwdEntry{out: out, it: it})
+		// ring plus one resident callback replaces a closure per packet.
+		s.fwd.Push(fwdEntry{out: out, it: it})
 		s.k.After(s.cfg.ForwardingLatency, s.fwdEv)
 	} else {
 		s.enqueueOut(out, it)
@@ -763,17 +763,7 @@ func (s *Switch) finishForward(in, out int, p *packet.Packet, wire, pri int, nex
 // fireForward completes one forwarding-pipeline traversal (the resident
 // callback armed by finishForward).
 func (s *Switch) fireForward() {
-	e := s.fwd[s.fwdHead]
-	s.fwd[s.fwdHead] = fwdEntry{}
-	s.fwdHead++
-	if s.fwdHead > len(s.fwd)/2 && s.fwdHead >= 32 {
-		n := copy(s.fwd, s.fwd[s.fwdHead:])
-		for i := n; i < len(s.fwd); i++ {
-			s.fwd[i] = fwdEntry{}
-		}
-		s.fwd = s.fwd[:n]
-		s.fwdHead = 0
-	}
+	e := s.fwd.Pop()
 	s.enqueueOut(e.out, e.it)
 }
 
@@ -784,15 +774,15 @@ func (s *Switch) enqueueOut(out int, it link.Item) {
 		// before the failure release their accounting and vanish. The
 		// pause generators are already dead, so transitions go unsignalled.
 		s.C.DownDrops.Inc()
-		s.drop(out, it.Pri, it.P, "switch-down")
+		s.drop(out, int(it.Pri), it.P, "switch-down")
 		if it.IngressPort >= 0 {
-			s.mmu.Release(int(it.IngressPort), it.PG, int(it.Len))
+			s.mmu.Release(int(it.IngressPort), int(it.Pri), int(it.Len))
 		}
 		return
 	}
 	if s.trace.Wants(telemetry.EvEnqueue.Mask()) {
 		s.trace.Emit(telemetry.Event{
-			Type: telemetry.EvEnqueue, Node: s.cfg.Name, Port: out, Pri: it.Pri, Pkt: it.P,
+			Type: telemetry.EvEnqueue, Node: s.cfg.Name, Port: out, Pri: int(it.Pri), Pkt: it.P,
 		})
 	}
 	s.port[out].egress.Enqueue(it)
@@ -869,15 +859,15 @@ func (s *Switch) onTransmit(port int, it link.Item) {
 	s.C.TxFrames.Inc()
 	if s.trace.Wants(telemetry.EvDequeue.Mask()) {
 		s.trace.Emit(telemetry.Event{
-			Type: telemetry.EvDequeue, Node: s.cfg.Name, Port: port, Pri: it.Pri, Pkt: it.P,
+			Type: telemetry.EvDequeue, Node: s.cfg.Name, Port: port, Pri: int(it.Pri), Pkt: it.P,
 		})
 	}
 	if it.IngressPort < 0 {
 		return // locally generated (pause frames)
 	}
-	in := int(it.IngressPort)
-	tr := s.mmu.Release(in, it.PG, int(it.Len))
-	s.applyPause(in, it.PG, tr)
+	in, pg := int(it.IngressPort), int(it.Pri)
+	tr := s.mmu.Release(in, pg, int(it.Len))
+	s.applyPause(in, pg, tr)
 	// A release grows the shared pool: buckets paused under a shrunken
 	// threshold may now resume. Route through applyPause so the trace bus
 	// sees the XON edge — the pause-propagation analyzer needs every
@@ -955,8 +945,8 @@ func (s *Switch) tripWatchdog(port int, ps *portState) {
 			s.C.WatchdogDrops.Inc()
 			s.drop(port, pri, it.P, "watchdog-purge")
 			if in := int(it.IngressPort); in >= 0 {
-				tr := s.mmu.Release(in, it.PG, int(it.Len))
-				s.applyPause(in, it.PG, tr)
+				tr := s.mmu.Release(in, pri, int(it.Len))
+				s.applyPause(in, pri, tr)
 			}
 		}
 	}
@@ -1033,7 +1023,7 @@ func (s *Switch) powerOff() {
 				if it.IngressPort >= 0 {
 					// The generators are dead; the release transition has
 					// nobody left to signal.
-					s.mmu.Release(int(it.IngressPort), it.PG, int(it.Len))
+					s.mmu.Release(int(it.IngressPort), pri, int(it.Len))
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 
 	"rocesim/internal/link"
@@ -98,7 +99,7 @@ func (h *testHost) topUp() {
 		PayloadLen: 1024,
 		UID:        h.uid,
 	}
-	h.eg.Enqueue(link.Item{P: p, Pri: f.pri, IngressPort: -1, PG: -1})
+	h.eg.Enqueue(link.Item{P: p, IngressPort: -1, Pri: int8(f.pri)})
 }
 
 func mac(b byte) packet.MAC          { return packet.MAC{0x02, 0, 0, 0, 0, b} }
@@ -707,5 +708,16 @@ func TestDWRRBandwidthReservationForTCPClass(t *testing.T) {
 	bulk := float64(sw.Egress(2).TxByPri[4])
 	if tcp/bulk < 2.0 || tcp/bulk > 4.5 {
 		t.Fatalf("weight-3 TCP class got %.0f vs bulk %.0f (ratio %.2f, want ~3)", tcp, bulk, tcp/bulk)
+	}
+}
+
+// TestNewSwitchPortLimit: a queued frame records its ingress port in an
+// int16, so NewSwitch refuses a switch with more ports than that holds.
+func TestNewSwitchPortLimit(t *testing.T) {
+	k := sim.NewKernel(1)
+	for _, ports := range []int{0, math.MaxInt16 + 1} {
+		if _, err := NewSwitch(k, DefaultConfig("big", ports), swMAC(1)); err == nil {
+			t.Fatalf("NewSwitch accepted %d ports", ports)
+		}
 	}
 }

@@ -7,8 +7,8 @@
 // completion event per egress re-arms itself across a burst, so a busy
 // queue holds exactly one pending kernel event and one in-flight frame
 // slot no matter how deep its backlog — draining N frames performs zero
-// allocations. Queues are head-indexed rings, so dequeue is O(1) instead
-// of the O(n) slice shuffle a naive FIFO pays.
+// allocations. Queues are power-of-two rings (Ring), so dequeue is O(1)
+// instead of the O(n) slice shuffle a naive FIFO pays.
 package link
 
 import (
@@ -218,61 +218,20 @@ func (l *Link) FCSErrorCount() uint64 {
 }
 
 // Item is one frame queued at an egress, with the bookkeeping needed to
-// release shared-buffer accounting when it leaves the device.
+// release shared-buffer accounting when it leaves the device. It is 16
+// bytes: it is copied on every enqueue, dequeue and transmit, and a
+// deep switch buffer holds hundreds of thousands of them.
 type Item struct {
-	P   *packet.Packet
-	Pri int
-	// IngressPort and PG identify the buffer accounting bucket the frame
-	// was admitted under (-1 for locally generated frames that were
-	// never admitted).
-	IngressPort int32
+	P *packet.Packet
 	// Len is P's wire length, computed once per hop: the queue's byte
 	// counts, DWRR, serialization and the switch's buffer release all
 	// read it here. Enqueue fills it in when it is zero.
 	Len int32
-	PG  int
-	Enq simtime.Time
-}
-
-// fifo is a head-indexed queue of Items: push appends, pop advances the
-// head, and the dead prefix is compacted once it dominates the backing
-// array, keeping both operations amortized O(1) without unbounded
-// memory growth.
-type fifo struct {
-	items []Item
-	head  int
-}
-
-func (f *fifo) len() int { return len(f.items) - f.head }
-
-func (f *fifo) push(it Item) { f.items = append(f.items, it) }
-
-func (f *fifo) front() *Item { return &f.items[f.head] }
-
-func (f *fifo) pop() Item {
-	it := f.items[f.head]
-	f.items[f.head] = Item{} // release the packet reference
-	f.head++
-	if f.head > len(f.items)/2 && f.head >= 32 {
-		n := copy(f.items, f.items[f.head:])
-		for i := n; i < len(f.items); i++ {
-			f.items[i] = Item{}
-		}
-		f.items = f.items[:n]
-		f.head = 0
-	}
-	return it
-}
-
-// live returns the queued items (shared backing array).
-func (f *fifo) live() []Item { return f.items[f.head:] }
-
-// purge empties the queue and returns the removed items.
-func (f *fifo) purge() []Item {
-	out := f.live()
-	f.items = nil
-	f.head = 0
-	return out
+	// IngressPort is the switch port whose buffer accounting bucket the
+	// frame was admitted under, with priority group Pri; -1 for locally
+	// generated frames that were never admitted.
+	IngressPort int16
+	Pri         int8
 }
 
 // Egress is one transmit direction of a device port: eight per-priority
@@ -311,9 +270,10 @@ type Egress struct {
 
 // queueBlock is an egress's transmit backlog and DWRR scheduler state.
 type queueBlock struct {
-	data    [8]fifo
+	data    [8]Ring[Item]
 	bytes   [8]int
-	control fifo // pause frames; never PFC-gated
+	total   int        // sum of bytes: frames are never empty, so 0 means no data queued
+	control Ring[Item] // pause frames; never PFC-gated
 
 	weights [8]int
 	deficit [8]int
@@ -363,11 +323,7 @@ func (e *Egress) TotalQueued() int {
 	if e.q == nil {
 		return 0
 	}
-	t := 0
-	for _, b := range e.q.bytes {
-		t += b
-	}
-	return t
+	return e.q.total
 }
 
 // QueueLen returns the number of frames queued at priority pri.
@@ -375,27 +331,20 @@ func (e *Egress) QueueLen(pri int) int {
 	if e.q == nil {
 		return 0
 	}
-	return e.q.data[pri].len()
+	return e.q.data[pri].Len()
 }
 
-// Items returns a snapshot of the queued items at priority pri (shared
-// backing array; callers must not mutate). Used by the deadlock detector
-// to trace buffer dependencies.
-func (e *Egress) Items(pri int) []Item {
-	if e.q == nil {
-		return nil
-	}
-	return e.q.data[pri].live()
-}
-
-// Purge removes and returns every queued frame at priority pri — used by
-// the switch watchdog when it discards lossless traffic for a tripped
-// port.
+// Purge removes and returns every queued frame at priority pri, oldest
+// first — used by the switch watchdog when it discards lossless traffic
+// for a tripped port, and by a switch powering off. The caller releases
+// the frames' buffer accounting in the order returned, which fixes the
+// order of the XONs that follow.
 func (e *Egress) Purge(pri int) []Item {
 	if e.q == nil {
 		return nil
 	}
-	items := e.q.data[pri].purge()
+	items := e.q.data[pri].Purge()
+	e.q.total -= e.q.bytes[pri]
 	e.q.bytes[pri] = 0
 	return items
 }
@@ -405,20 +354,20 @@ func (e *Egress) Enqueue(it Item) {
 	if it.Pri < 0 || it.Pri > 7 {
 		panic(fmt.Sprintf("link: priority %d", it.Pri))
 	}
-	it.Enq = e.k.Now()
 	if it.Len == 0 {
 		it.Len = int32(it.P.WireLen())
 	}
 	q := e.queues()
-	q.data[it.Pri].push(it)
+	q.data[it.Pri].Push(it)
 	q.bytes[it.Pri] += int(it.Len)
+	q.total += int(it.Len)
 	e.kick()
 }
 
 // EnqueueControl queues a pause frame; control frames preempt all data
 // and ignore PFC state.
 func (e *Egress) EnqueueControl(p *packet.Packet) {
-	e.queues().control.push(Item{P: p, Pri: -1, IngressPort: -1, Len: int32(p.WireLen()), PG: -1, Enq: e.k.Now()})
+	e.queues().control.Push(Item{P: p, Pri: -1, IngressPort: -1, Len: int32(p.WireLen())})
 	e.kick()
 }
 
@@ -447,22 +396,26 @@ func (e *Egress) trySend() {
 	now := e.k.Now()
 
 	// Control frames first: pause must get out even when we are paused.
-	if q.control.len() > 0 {
-		e.transmit(q.control.pop())
+	if q.control.Len() > 0 {
+		e.transmit(q.control.Pop())
 		return
 	}
 	if e.Blocked {
 		return
 	}
 
-	// DWRR over non-empty, non-paused priorities.
+	// DWRR over non-empty, non-paused priorities. pickDWRR runs even on
+	// empty queues: it hands back the service turn of a queue that ran dry.
 	pri := e.pickDWRR(q, now)
 	if pri < 0 {
-		e.armRetry(q, now)
+		if q.total > 0 { // with nothing queued there is no pause to wait out
+			e.armRetry(q, now)
+		}
 		return
 	}
-	it := q.data[pri].pop()
+	it := q.data[pri].Pop()
 	q.bytes[pri] -= int(it.Len)
+	q.total -= int(it.Len)
 	e.transmit(it)
 }
 
@@ -478,7 +431,7 @@ func (e *Egress) pickDWRR(q *queueBlock, now simtime.Time) int {
 			found := -1
 			for i := 0; i < 8; i++ {
 				pri := (q.rrNext + i) % 8
-				if q.data[pri].len() > 0 && !e.Pause.Paused(now, pri) {
+				if q.data[pri].Len() > 0 && !e.Pause.Paused(now, pri) {
 					found = pri
 					break
 				}
@@ -491,13 +444,13 @@ func (e *Egress) pickDWRR(q *queueBlock, now simtime.Time) int {
 			q.deficit[found] += quantumPerWeight * q.weights[found]
 		}
 		pri := q.cur
-		if q.data[pri].len() > 0 && !e.Pause.Paused(now, pri) {
-			if head := int(q.data[pri].front().Len); q.deficit[pri] >= head {
+		if q.data[pri].Len() > 0 && !e.Pause.Paused(now, pri) {
+			if head := int(q.data[pri].Front().Len); q.deficit[pri] >= head {
 				q.deficit[pri] -= head
 				return pri
 			}
 		}
-		if q.data[pri].len() == 0 {
+		if q.data[pri].Len() == 0 {
 			q.deficit[pri] = 0 // idle classes must not hoard credit
 		}
 		q.cur = -1
@@ -510,7 +463,7 @@ func (e *Egress) pickDWRR(q *queueBlock, now simtime.Time) int {
 func (e *Egress) armRetry(q *queueBlock, now simtime.Time) {
 	var earliest simtime.Time = simtime.Forever
 	for pri := 0; pri < 8; pri++ {
-		if q.data[pri].len() == 0 {
+		if q.data[pri].Len() == 0 {
 			continue
 		}
 		if at := e.Pause.ResumeAt(pri); at.After(now) && at.Before(earliest) {

@@ -159,8 +159,7 @@ type NIC struct {
 	rrIdx   int
 	txTimer *sim.Timer // wake-up at the earliest paced send, allocated on its first arm
 
-	rxQueue  []*packet.Packet
-	rxHead   int
+	rxQueue  link.Ring[*packet.Packet]
 	rxBytes  int
 	busy     bool
 	pipeDone sim.Event // resident pipeline-completion callback
@@ -219,7 +218,7 @@ func (n *NIC) Attach(l *link.Link, side int) {
 		if n.trace.Wants(telemetry.EvDequeue.Mask()) {
 			n.trace.Emit(telemetry.Event{
 				Type: telemetry.EvDequeue, Node: n.cfg.Name, Port: 0,
-				Pri: it.Pri, Pkt: it.P,
+				Pri: int(it.Pri), Pkt: it.P,
 			})
 		}
 		n.txKick()
@@ -388,7 +387,7 @@ func (n *NIC) inject(p *packet.Packet, pri int) {
 			Type: telemetry.EvInject, Node: n.cfg.Name, Port: 0, Pri: pri, Pkt: p,
 		})
 	}
-	n.eg.Enqueue(link.Item{P: p, Pri: pri, IngressPort: -1, PG: -1})
+	n.eg.Enqueue(link.Item{P: p, IngressPort: -1, Pri: int8(pri)})
 }
 
 // dscpOf applies the configured priority→DSCP encoding (identity when
@@ -549,40 +548,20 @@ func (n *NIC) Receive(_ int, p *packet.Packet) {
 		return
 	}
 	n.rxBytes += size
-	n.rxQueue = append(n.rxQueue, p)
+	n.rxQueue.Push(p)
 	if n.rxBytes >= n.cfg.RxXOFF || n.malfunction {
 		n.pauseAll()
 	}
 	n.startPipeline()
 }
 
-// rxLen returns the number of frames waiting in the receive queue.
-func (n *NIC) rxLen() int { return len(n.rxQueue) - n.rxHead }
-
-// rxPop dequeues the head of the receive queue (head-indexed ring,
-// compacted once the dead prefix dominates).
-func (n *NIC) rxPop() *packet.Packet {
-	p := n.rxQueue[n.rxHead]
-	n.rxQueue[n.rxHead] = nil
-	n.rxHead++
-	if n.rxHead > len(n.rxQueue)/2 && n.rxHead >= 32 {
-		m := copy(n.rxQueue, n.rxQueue[n.rxHead:])
-		for i := m; i < len(n.rxQueue); i++ {
-			n.rxQueue[i] = nil
-		}
-		n.rxQueue = n.rxQueue[:m]
-		n.rxHead = 0
-	}
-	return p
-}
-
 // startPipeline begins processing the head of the receive queue.
 func (n *NIC) startPipeline() {
-	if n.busy || n.malfunction || n.rxLen() == 0 {
+	if n.busy || n.malfunction || n.rxQueue.Len() == 0 {
 		return
 	}
 	n.busy = true
-	p := n.rxQueue[n.rxHead]
+	p := *n.rxQueue.Front()
 	d := n.cfg.ProcTime + n.rxSlowdown
 	if n.mtt != nil && p.BTH != nil && p.PayloadLen > 0 {
 		// Each payload lands at an address within the registered
@@ -604,10 +583,10 @@ func (n *NIC) finishPipeline() {
 	if n.malfunction {
 		return // pipeline died mid-packet
 	}
-	if n.rxLen() == 0 {
+	if n.rxQueue.Len() == 0 {
 		return
 	}
-	q := n.rxPop()
+	q := n.rxQueue.Pop()
 	n.rxBytes -= q.WireLen()
 	n.lastProc = n.k.Now()
 	if n.rxBytes <= n.cfg.RxXON {
@@ -665,7 +644,7 @@ func (n *NIC) pollWatchdog() {
 	// "Stopped" means no packet has completed the pipeline since the
 	// last poll while there is work (or the pipeline is dead); the
 	// Watchdog itself enforces the 100 ms persistence window.
-	stopped := (n.malfunction || n.rxLen() > 0) && now.Sub(n.lastProc) >= n.cfg.Watchdog.Poll
+	stopped := (n.malfunction || n.rxQueue.Len() > 0) && now.Sub(n.lastProc) >= n.cfg.Watchdog.Poll
 	pausing := n.pauser.Engaged() != 0 && !n.pauser.Disabled
 	if n.wd.Observe(now, stopped && pausing) {
 		n.S.WatchdogTrips.Inc()

@@ -408,3 +408,23 @@ func TestMarshalParseRoundTripSACK(t *testing.T) {
 		t.Fatalf("NakSACK without SACK words: err=%v, want ErrTruncated", err)
 	}
 }
+
+// TestPoolGetAllocs pins a cold Get at one allocation, the packet and
+// its header box together, and a warm Get at none; attaching headers
+// into the box allocates nothing either way.
+func TestPoolGetAllocs(t *testing.T) {
+	pl := NewPool()
+	get := func() *Packet {
+		p := pl.Get()
+		p.AttachIP()
+		p.AttachUDP()
+		p.AttachBTH()
+		return p
+	}
+	if n := testing.AllocsPerRun(100, func() { get() }); n != 1 {
+		t.Fatalf("cold Get: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { pl.Put(get()) }); n != 0 {
+		t.Fatalf("warm Get: %v allocations, want 0", n)
+	}
+}

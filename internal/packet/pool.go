@@ -6,7 +6,7 @@ package packet
 // pair, a drop, an FCS error); in between, every layer passes the same
 // pointer. Each pooled packet owns a box of inline header structs, so
 // attaching an IP/UDP/BTH/... layer repoints into the box instead of
-// allocating.
+// allocating; a cold Get allocates the packet and its box as one object.
 //
 // The pool is single-threaded like the simulator itself. Recycling is
 // veto-able: when Retain reports true (a trace subscriber that keeps
@@ -37,6 +37,12 @@ type box struct {
 	pooled bool // currently sitting in the free-list (double-put guard)
 }
 
+// pooled is a pool packet and its header box, allocated together.
+type pooled struct {
+	p Packet
+	b box
+}
+
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{}
@@ -54,7 +60,9 @@ func (pl *Pool) Get() *Packet {
 		return p
 	}
 	pl.News++
-	return &Packet{box: &box{}}
+	c := &pooled{}
+	c.p.box = &c.b
+	return &c.p
 }
 
 // Put returns a dead packet to the pool. Packets not drawn from a pool
